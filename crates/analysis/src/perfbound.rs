@@ -54,9 +54,7 @@ use simt_isa::{Instruction, Kernel, LatencyClass};
 use crate::absint::{interpret, AbsintAnalysis, LaunchInfo};
 use crate::cfg::Cfg;
 use crate::dataflow::ReachingDefs;
-use crate::trace::{
-    unique_srcs, StepOutcome, TimingState, TraceStep, WarpReplay, UNCOMPRESSED_BANKS,
-};
+use crate::trace::{StepOutcome, TimingState, TraceStep, WarpReplay, UNCOMPRESSED_BANKS};
 
 /// The pipeline parameters the bounds are derived from — the subset of
 /// the simulator's configuration that is architecturally visible to a
@@ -358,9 +356,8 @@ pub fn bound_kernel(kernel: &Kernel, launch: &PerfLaunch, machine: &PerfMachine)
     let wpb = launch.warps_per_block();
     for block in 0..launch.blocks {
         for warp in 0..wpb {
-            let threads = (launch.threads_per_block - warp * WARP_SIZE).min(WARP_SIZE);
             let mut tracer = WarpTracer::new(
-                machine, &codec, launch, &absint, &dist, instrs, num_regs, block, warp, threads,
+                machine, &codec, launch, &absint, &dist, instrs, num_regs, block, warp,
             );
             let out = tracer.run();
             total.add(&out.totals);
@@ -457,7 +454,7 @@ fn conflict_sites(
     let rd = ReachingDefs::compute(instrs, instrs.len().max(1) as u8, cfg);
     let mut sites = Vec::new();
     for (pc, instr) in instrs.iter().enumerate() {
-        let srcs = unique_srcs(instr);
+        let srcs = instr.unique_srcs();
         let k = srcs.len();
         if k < 2 || !cfg.is_reachable(pc) {
             continue;
@@ -601,7 +598,6 @@ impl<'a> WarpTracer<'a> {
         num_regs: usize,
         block: usize,
         warp_in_block: usize,
-        threads: usize,
     ) -> Self {
         WarpTracer {
             machine,
@@ -615,7 +611,6 @@ impl<'a> WarpTracer<'a> {
                 num_regs,
                 block,
                 warp_in_block,
-                threads,
             ),
             timing: TimingState::new(num_regs),
             totals: Totals::default(),

@@ -51,7 +51,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use bdi::{BdiCodec, WARP_SIZE};
+use bdi::BdiCodec;
 use serde::{Deserialize, Serialize};
 use simt_isa::Kernel;
 
@@ -341,9 +341,8 @@ pub fn schedule_kernel(
                 break;
             }
             for (w, &slot) in free.iter().enumerate() {
-                let threads = (launch.threads_per_block - w * WARP_SIZE).min(WARP_SIZE);
                 let mut replay = WarpReplay::new(
-                    machine, &codec, launch, absint, instrs, num_regs, next_block, w, threads,
+                    machine, &codec, launch, absint, instrs, num_regs, next_block, w,
                 );
                 if forward_mem {
                     replay.enable_memory_forwarding();

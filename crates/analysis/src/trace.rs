@@ -3,21 +3,19 @@
 //! Both the performance-bound tracer ([`perfbound`](crate::perfbound))
 //! and the ahead-of-time issue scheduler
 //! ([`schedule`](crate::schedule)) need the same launch-specialised
-//! enumeration of one warp's dynamic instruction stream: a bit-exact
-//! mirror of the simulator's SIMT reconvergence stack, concrete
-//! register values where they are statically known, absint-assisted
-//! branch resolution, and the stored-form (banks / compressed)
-//! tracking of the compression-aware register file. This module hoists
-//! that machinery into one place:
+//! enumeration of one warp's dynamic instruction stream: the SIMT
+//! reconvergence stack, concrete register values where they are
+//! statically known, absint-assisted branch resolution, and the
+//! stored-form (banks / compressed) tracking of the compression-aware
+//! register file. This module hoists that machinery into one place:
 //!
-//! * [`MirrorStack`] — the SIMT stack mirror (`gpu_sim::SimtStack`
-//!   semantics, re-implemented here because the dependency points the
-//!   other way; the soundness proptests replay random kernels through
-//!   the real pipeline to pin the two together),
 //! * [`WarpReplay`] — the per-warp architectural replayer, yielding one
 //!   [`TraceStep`] per executed instruction until the warp drains
 //!   ([`StepOutcome::Done`]) or precision is lost
-//!   ([`StepOutcome::Lost`]),
+//!   ([`StepOutcome::Lost`]). It runs warps on `simt_isa::SimtStack`,
+//!   reads specials through `simt_isa::WarpCoords` and fetches operands
+//!   in `Instruction::unique_srcs` order — the very definitions the
+//!   simulator executes, so the two cannot drift apart.
 //! * [`TimingState`] — the relaxed pipeline-timing DP whose every
 //!   constraint the real engine also enforces, split into
 //!   [`earliest`](TimingState::earliest) (query) and
@@ -27,7 +25,7 @@
 use std::collections::HashMap;
 
 use bdi::{BdiCodec, WarpRegister, WARP_SIZE};
-use simt_isa::{Instruction, LatencyClass, Operand, Special};
+use simt_isa::{taken_mask, Instruction, LatencyClass, Operand, SimtStack, WarpCoords};
 
 use crate::absint::AbsintAnalysis;
 use crate::perfbound::{PerfLaunch, PerfMachine};
@@ -40,111 +38,6 @@ pub const UNCOMPRESSED_BANKS: usize = 8;
 /// absint-driven branch that never makes concrete progress) loses
 /// precision instead of replaying on.
 pub const TRACE_FUEL: u64 = 1_000_000;
-
-/// Unique source registers of an instruction, in first-use order (the
-/// engine's `unique_srcs` — one collector fetch per distinct register).
-pub fn unique_srcs(instr: &Instruction) -> Vec<usize> {
-    let mut srcs: Vec<usize> = Vec::new();
-    for r in instr.src_regs() {
-        if !srcs.contains(&r.index()) {
-            srcs.push(r.index());
-        }
-    }
-    srcs
-}
-
-// ---------------------------------------------------------------------
-// SIMT stack mirror
-// ---------------------------------------------------------------------
-
-/// Bit-exact mirror of the simulator's SIMT reconvergence stack
-/// (`gpu_sim::SimtStack`), which this crate cannot import (the
-/// dependency points the other way). `tests/perfbound_soundness.rs`
-/// and `tests/schedule.rs` replay random kernels through the real
-/// pipeline to pin the two together.
-#[derive(Clone, Debug)]
-pub struct MirrorStack {
-    entries: Vec<(usize, u32, usize)>, // (pc, mask, reconv)
-}
-
-const TOP_LEVEL: usize = usize::MAX;
-
-impl MirrorStack {
-    /// A fresh stack: all of `initial_mask` at pc 0.
-    pub fn new(initial_mask: u32) -> Self {
-        MirrorStack {
-            entries: vec![(0, initial_mask, TOP_LEVEL)],
-        }
-    }
-
-    /// The active pc, or `None` once every thread has exited.
-    pub fn pc(&self) -> Option<usize> {
-        self.entries.last().map(|e| e.0)
-    }
-
-    /// The active thread mask (0 once done).
-    pub fn mask(&self) -> u32 {
-        self.entries.last().map(|e| e.1).unwrap_or(0)
-    }
-
-    /// Whether more than one stack entry is live (warp is diverged).
-    pub fn is_diverged(&self) -> bool {
-        self.entries.len() > 1
-    }
-
-    /// Steps the active entry to the next pc.
-    pub fn advance(&mut self) {
-        if let Some(top) = self.entries.last_mut() {
-            top.0 += 1;
-        }
-        self.pop_reconverged();
-    }
-
-    /// Unconditional jump of the active entry.
-    pub fn jump(&mut self, target: usize) {
-        if let Some(top) = self.entries.last_mut() {
-            top.0 = target;
-        }
-        self.pop_reconverged();
-    }
-
-    /// Applies a (possibly divergent) branch with the given taken mask.
-    pub fn branch(&mut self, taken_mask: u32, target: usize, reconv: usize) {
-        let &(pc, mask, _) = self.entries.last().expect("branch on finished warp");
-        let fall_mask = mask & !taken_mask;
-        let fall_pc = pc + 1;
-        if taken_mask == 0 || fall_mask == 0 {
-            let top = self.entries.last_mut().expect("checked non-empty");
-            top.0 = if taken_mask != 0 { target } else { fall_pc };
-        } else {
-            let top = self.entries.last_mut().expect("checked non-empty");
-            top.0 = reconv;
-            self.entries.push((fall_pc, fall_mask, reconv));
-            self.entries.push((target, taken_mask, reconv));
-        }
-        self.pop_reconverged();
-    }
-
-    /// Retires the active entry's threads (the `exit` instruction).
-    pub fn exit_threads(&mut self) {
-        let mask = self.mask();
-        for e in &mut self.entries {
-            e.1 &= !mask;
-        }
-        self.entries.retain(|e| e.1 != 0);
-        self.pop_reconverged();
-    }
-
-    fn pop_reconverged(&mut self) {
-        while let Some(&(pc, _, reconv)) = self.entries.last() {
-            if self.entries.len() > 1 && pc == reconv {
-                self.entries.pop();
-            } else {
-                break;
-            }
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Pipeline timing relaxation
@@ -217,7 +110,7 @@ impl TimingState {
     /// ordering constraints (issue port, RAW/WAW/WAR, LSU order).
     pub fn earliest(&self, instr: &Instruction) -> u64 {
         let mut t = self.next_issue;
-        for &s in &unique_srcs(instr) {
+        for &s in &instr.unique_srcs() {
             t = t.max(self.avail_write[s]);
         }
         if let Some(d) = instr.dst() {
@@ -245,7 +138,7 @@ impl TimingState {
         comp_pass: u64,
     ) -> InstrTimes {
         debug_assert!(t >= self.earliest(instr), "issue before earliest feasible");
-        let srcs = unique_srcs(instr);
+        let srcs = instr.unique_srcs();
         let is_mem = instr.latency_class() == LatencyClass::Memory;
         match instr {
             Instruction::Jmp { .. } | Instruction::Exit => {
@@ -422,10 +315,9 @@ pub struct WarpReplay<'a> {
     launch: &'a PerfLaunch,
     absint: &'a AbsintAnalysis,
     instrs: &'a [Instruction],
-    block: usize,
-    warp_in_block: usize,
+    coords: WarpCoords,
     full_mask: u32,
-    stack: MirrorStack,
+    stack: SimtStack,
     regs: Vec<RegState>,
     fuel: u64,
     /// Whether store→load forwarding through the per-warp shadow memory
@@ -444,10 +336,14 @@ pub struct WarpReplay<'a> {
 }
 
 impl<'a> WarpReplay<'a> {
-    /// A fresh replay of warp `warp_in_block` of `block`, with
-    /// `threads` live threads (the trailing warp of a block may be
-    /// partial). Registers initialise to zero in the stored form the
-    /// machine's allocation path guarantees.
+    /// A fresh replay of warp `warp_in_block` of `block` (the trailing
+    /// warp of a block may be partial). Registers initialise to zero in
+    /// the stored form the machine's allocation path guarantees.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `warp_in_block` is past the launch's last warp of a
+    /// block: such a warp holds no thread.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         machine: &'a PerfMachine,
@@ -458,13 +354,14 @@ impl<'a> WarpReplay<'a> {
         num_regs: usize,
         block: usize,
         warp_in_block: usize,
-        threads: usize,
     ) -> Self {
-        let full_mask = if threads >= WARP_SIZE {
-            u32::MAX
-        } else {
-            (1u32 << threads) - 1
+        let coords = WarpCoords {
+            blocks: launch.blocks,
+            threads_per_block: launch.threads_per_block,
+            block,
+            warp_in_block,
         };
+        let full_mask = coords.full_mask();
         let initial = if machine.compression_enabled() {
             let c = codec.compress(&WarpRegister::ZERO);
             RegState {
@@ -485,10 +382,9 @@ impl<'a> WarpReplay<'a> {
             launch,
             absint,
             instrs,
-            block,
-            warp_in_block,
+            coords,
             full_mask,
-            stack: MirrorStack::new(full_mask),
+            stack: SimtStack::new(full_mask, 0),
             regs: vec![initial; num_regs],
             fuel: TRACE_FUEL,
             forward_mem: false,
@@ -546,7 +442,7 @@ impl<'a> WarpReplay<'a> {
         let instr = self.instrs[pc];
         let mask = self.stack.mask();
         // Exactly the engine's divergence predicate at issue.
-        let divergent = self.stack.is_diverged() || mask != self.full_mask;
+        let divergent = self.stack.is_divergent(self.full_mask);
 
         if let Instruction::Bra { pred, .. } = instr {
             if self.taken_mask(pc, pred.index(), mask).is_none() {
@@ -556,7 +452,8 @@ impl<'a> WarpReplay<'a> {
 
         // Pre-write operand facts (reads happen before the write, so a
         // destination that is also a source reads its old stored form).
-        let sources: Vec<SourceFetch> = unique_srcs(&instr)
+        let sources: Vec<SourceFetch> = instr
+            .unique_srcs()
             .iter()
             .map(|&s| SourceFetch {
                 reg: s,
@@ -746,13 +643,7 @@ impl<'a> WarpReplay<'a> {
     /// range at this pc ("can never be zero" / "is always zero").
     fn taken_mask(&self, pc: usize, pred: usize, mask: u32) -> Option<u32> {
         if let Some(v) = &self.regs[pred].value {
-            let mut taken = 0u32;
-            for lane in 0..WARP_SIZE {
-                if mask & (1 << lane) != 0 && v.lane(lane) != 0 {
-                    taken |= 1 << lane;
-                }
-            }
-            return Some(taken);
+            return Some(taken_mask(mask, v.as_lanes()));
         }
         let range = self.absint.state_at(pc)?.get(pred)?.per_lane_range()?;
         if !range.contains(0) {
@@ -764,25 +655,14 @@ impl<'a> WarpReplay<'a> {
         }
     }
 
-    /// Mirror of the engine's operand evaluation, launch-specialised.
+    /// The engine's operand evaluation, launch-specialised; `None`
+    /// for a register whose value is not statically known.
     fn eval(&self, op: Operand) -> Option<WarpRegister> {
-        let tpb = self.launch.threads_per_block as u32;
         match op {
             Operand::Reg(r) => self.regs[r.index()].value,
             Operand::Imm(v) => Some(WarpRegister::splat(v as u32)),
             Operand::Param(i) => Some(WarpRegister::splat(self.launch.param(i as usize))),
-            Operand::Special(s) => Some(WarpRegister::from_fn(|lane| {
-                let tid = (self.warp_in_block * WARP_SIZE + lane) as u32;
-                match s {
-                    Special::Tid => tid,
-                    Special::Bid => self.block as u32,
-                    Special::BlockDim => tpb,
-                    Special::GridDim => self.launch.blocks as u32,
-                    Special::GlobalTid => self.block as u32 * tpb + tid,
-                    Special::LaneId => lane as u32,
-                    Special::WarpId => self.warp_in_block as u32,
-                }
-            })),
+            Operand::Special(s) => Some(WarpRegister::from_fn(|lane| self.coords.special(s, lane))),
         }
     }
 }

@@ -63,7 +63,7 @@ pub fn table2() -> FigureTable {
         ("SMs / GPU", cfg.num_sms.to_string()),
         ("Warp schedulers / SM", cfg.num_schedulers.to_string()),
         ("Warp scheduling policy", format!("{:?}", cfg.scheduler)),
-        ("SIMT lane width", cfg.warp_size.to_string()),
+        ("SIMT lane width", simt_isa::WARP_SIZE.to_string()),
         ("Max warps / SM", cfg.max_warps_per_sm.to_string()),
         (
             "Register file size",

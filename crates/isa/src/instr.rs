@@ -245,6 +245,18 @@ impl Instruction {
         }
     }
 
+    /// Distinct source registers in first-use order: one operand-
+    /// collector fetch each, the order every engine fetches them in.
+    pub fn unique_srcs(&self) -> Vec<usize> {
+        let mut srcs: Vec<usize> = Vec::new();
+        for r in self.src_regs() {
+            if !srcs.contains(&r.index()) {
+                srcs.push(r.index());
+            }
+        }
+        srcs
+    }
+
     /// The latency class the pipeline model schedules this instruction in.
     pub fn latency_class(&self) -> LatencyClass {
         match self {
@@ -369,6 +381,30 @@ mod tests {
             reconv: 1,
         };
         assert_eq!(bra.src_regs(), vec![Reg(6)]);
+    }
+
+    #[test]
+    fn unique_srcs_fetch_each_register_once() {
+        let add = Instruction::Alu {
+            op: AluOp::Add,
+            dst: Reg(1),
+            a: Reg(1).into(),
+            b: Reg(1).into(),
+        };
+        assert_eq!(add.unique_srcs(), vec![1]);
+        let st = Instruction::St {
+            base: Reg(4),
+            offset: 0,
+            src: Reg(4),
+        };
+        assert_eq!(st.unique_srcs(), vec![4]);
+        let ld = Instruction::Ld {
+            dst: Reg(0),
+            base: Reg(3),
+            offset: 1,
+        };
+        assert_eq!(ld.unique_srcs(), vec![3]);
+        assert!(Instruction::Exit.unique_srcs().is_empty());
     }
 
     #[test]

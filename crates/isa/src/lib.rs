@@ -15,7 +15,8 @@
 //!   the two sources of the value similarity characterised in §3,
 //! * word-addressed global loads/stores,
 //! * structured branches carrying an explicit reconvergence label, which
-//!   lets the simulator maintain a classic SIMT reconvergence stack.
+//!   lets every engine maintain the classic SIMT reconvergence stack
+//!   ([`SimtStack`]) defined here, once.
 //!
 //! # Example
 //!
@@ -42,9 +43,11 @@ mod builder;
 mod instr;
 mod kernel;
 mod operand;
+mod simt;
 
 pub use asm::{assemble, to_asm, write_asm, AsmError, AsmErrorKind};
 pub use builder::{BuildError, KernelBuilder, Label};
 pub use instr::{AluOp, ControlFlow, Instruction, LatencyClass};
 pub use kernel::{Kernel, KernelError};
 pub use operand::{Operand, Reg, Special};
+pub use simt::{taken_mask, SimtStack, WarpCoords, WARP_SIZE};

@@ -3,6 +3,7 @@
 use bdi::ChoiceSet;
 use gpu_regfile::RegFileConfig;
 use serde::{Deserialize, Serialize};
+use simt_isa::LatencyClass;
 
 /// Warp scheduling policy (§6.5).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -86,8 +87,6 @@ pub struct GpuConfig {
     /// SMs on the chip (Table 2: 15). The simulator models one SM; this
     /// only scales whole-chip reporting.
     pub num_sms: usize,
-    /// Threads per warp (Table 2: 32).
-    pub warp_size: usize,
     /// Maximum resident warps per SM (Table 2: 48).
     pub max_warps_per_sm: usize,
     /// Warp schedulers per SM (Table 2: 2); warp slot *s* belongs to
@@ -120,7 +119,6 @@ impl GpuConfig {
     pub fn baseline() -> Self {
         GpuConfig {
             num_sms: 15,
-            warp_size: 32,
             max_warps_per_sm: 48,
             num_schedulers: 2,
             scheduler: SchedulerPolicy::Gto,
@@ -146,6 +144,16 @@ impl GpuConfig {
             regfile: RegFileConfig::paper_baseline(),
             compression: CompressionConfig::warped_compression(),
             ..GpuConfig::baseline()
+        }
+    }
+
+    /// Cycles from dispatch until a result of latency class `class` is
+    /// ready for writeback.
+    pub fn latency(&self, class: LatencyClass) -> u64 {
+        match class {
+            LatencyClass::Sfu => self.sfu_latency,
+            LatencyClass::Memory => self.mem_latency,
+            LatencyClass::Alu | LatencyClass::Control => self.alu_latency,
         }
     }
 }

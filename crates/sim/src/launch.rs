@@ -4,6 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
+use simt_isa::{WarpCoords, WARP_SIZE};
 
 /// A structurally invalid launch geometry, reported by
 /// [`LaunchConfig::try_new`] — the typed path for untrusted input
@@ -100,9 +101,19 @@ impl LaunchConfig {
         &self.params
     }
 
-    /// Warps needed per block at the given warp size.
-    pub fn warps_per_block(&self, warp_size: usize) -> usize {
-        self.threads_per_block.div_ceil(warp_size)
+    /// Warps needed per block.
+    pub fn warps_per_block(&self) -> usize {
+        self.threads_per_block.div_ceil(WARP_SIZE)
+    }
+
+    /// Where warp `warp_in_block` of `block` sits in this launch.
+    pub(crate) fn coords(&self, block: usize, warp_in_block: usize) -> WarpCoords {
+        WarpCoords {
+            blocks: self.blocks,
+            threads_per_block: self.threads_per_block,
+            block,
+            warp_in_block,
+        }
     }
 
     /// Total threads in the launch.
@@ -120,13 +131,13 @@ mod tests {
         let l = LaunchConfig::new(3, 96);
         assert_eq!(l.blocks(), 3);
         assert_eq!(l.threads_per_block(), 96);
-        assert_eq!(l.warps_per_block(32), 3);
+        assert_eq!(l.warps_per_block(), 3);
         assert_eq!(l.total_threads(), 288);
     }
 
     #[test]
     fn partial_warp_rounds_up() {
-        assert_eq!(LaunchConfig::new(1, 33).warps_per_block(32), 2);
+        assert_eq!(LaunchConfig::new(1, 33).warps_per_block(), 2);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //!
 //! * dual warp schedulers (Greedy-Then-Oldest or Loose Round-Robin,
 //!   Table 2 / §6.5),
-//! * a SIMT reconvergence stack per warp for branch divergence,
+//! * a SIMT reconvergence stack per warp for branch divergence — the
+//!   single [`simt_isa::SimtStack`], the same one the static tracer in
+//!   `simt-analysis` runs warps on,
 //! * a scoreboard (RAW/WAW/WAR) and operand collectors fetching operands
 //!   through the banked register file's per-bank ports,
 //! * a compression-aware writeback path: results pass through a limited
@@ -15,6 +17,11 @@
 //!   dummy-MOV mechanism of §5.2 decompresses registers that are about to
 //!   be written divergently,
 //! * bank-level power gating with a 10-cycle wake-up stall (§5.3).
+//!
+//! [`GpuSim::run_scheduled`] replays an ahead-of-time issue plan instead
+//! of arbitrating dynamically. Both engines execute lanes, read
+//! operands and write results through one shared register datapath, so
+//! they differ only in timing.
 //!
 //! The output is a [`SimResult`]: cycle count, instruction and divergence
 //! statistics, compression ratios, and the raw bank activity that the
@@ -48,13 +55,13 @@
 
 mod chip;
 mod config;
+mod datapath;
 mod launch;
 mod memory;
 #[cfg(feature = "sanitize")]
 mod sanitize;
 mod scheduled;
 mod scoreboard;
-mod simt_stack;
 mod sm;
 mod stats;
 mod warp;
@@ -64,7 +71,6 @@ pub use config::{CompressionConfig, DivergencePolicy, GpuConfig, SchedulerPolicy
 pub use launch::{LaunchConfig, LaunchError};
 pub use memory::{GlobalMemory, MemoryFault};
 pub use scheduled::ScheduledResult;
-pub use simt_stack::SimtStack;
 pub use sm::{FinalRegs, GpuSim, SimError, SimResult};
 pub use stats::{
     CensusStats, MemEvent, MemTrafficStats, PcMemTraffic, PcStalls, SimStats, StallCause,

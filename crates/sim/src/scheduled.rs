@@ -3,8 +3,9 @@
 //!
 //! `simt-analysis`'s scheduler compiles a kernel × launch × machine
 //! into absolute per-warp event cycles (issue / dispatch / retire).
-//! This module executes that plan on the *real* datapath — the banked
-//! register file, the BDI codec, global memory, the SIMT stack — while
+//! This module executes that plan on the dynamic engine's own datapath
+//! ([`crate::datapath`]: the banked register file, the BDI codec, the
+//! lane evaluator, global memory) and the shared SIMT stack, while
 //! replacing the scoreboard with a **slot checker**:
 //!
 //! * a static pre-check re-derives every hazard rule the scheduler
@@ -36,6 +37,8 @@
 //!   operand fetches but does not arbitrate the decompressor pool
 //!   across warps; activations are counted, the per-cycle cap is
 //!   assumed provisioned.
+//! * **No memory traffic.** Loads and stores take effect, but no
+//!   coalescer traffic is recorded.
 //!
 //! Replay is event-driven: events execute in `(cycle, kind, slot)`
 //! order with retires before dispatches before slot frees before
@@ -44,16 +47,16 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use bdi::{BdiCodec, CompressedRegister, WarpRegister};
-use gpu_regfile::{RegisterFile, WarpSlot, WriteError};
+use bdi::{CompressedRegister, WarpRegister};
+use gpu_regfile::{WarpSlot, WriteError};
 use simt_analysis::IssuePlan;
-use simt_isa::{Instruction, Kernel, LatencyClass, Operand, Special};
+use simt_isa::{Instruction, Kernel, LatencyClass, SimtStack};
 
 use crate::config::{DivergencePolicy, GpuConfig};
+use crate::datapath::{self, Datapath, Effect, Fetch, Lanes, PendingWrite};
 use crate::launch::LaunchConfig;
 use crate::memory::GlobalMemory;
-use crate::simt_stack::SimtStack;
-use crate::sm::{unique_srcs, FinalRegs, GpuSim, SimError};
+use crate::sm::{FinalRegs, GpuSim, SimError};
 use crate::stats::SimStats;
 
 /// Result of a scheduled replay.
@@ -131,23 +134,6 @@ impl GpuSim {
     }
 }
 
-/// The mask of an `n`-thread warp.
-fn full_mask_of(threads: usize) -> u32 {
-    if threads >= 32 {
-        u32::MAX
-    } else {
-        (1u32 << threads) - 1
-    }
-}
-
-fn latency_of(cfg: &GpuConfig, class: LatencyClass) -> u64 {
-    match class {
-        LatencyClass::Sfu => cfg.sfu_latency,
-        LatencyClass::Memory => cfg.mem_latency,
-        _ => cfg.alu_latency,
-    }
-}
-
 /// The scoreboard replacement: re-derives every constraint the
 /// scheduler promises from the plan's cycles alone and rejects the
 /// plan if any is violated.
@@ -176,7 +162,7 @@ fn validate_plan(
             plan.num_compressors, cfg.compression.num_compressors
         )));
     }
-    let wpb = launch.warps_per_block(cfg.warp_size);
+    let wpb = launch.warps_per_block();
     if plan.warps_per_block != wpb {
         return Err(plan_err(format!(
             "plan laid out {} warps per block, launch needs {wpb}",
@@ -190,10 +176,8 @@ fn validate_plan(
             launch.blocks() * wpb
         )));
     }
-    let num_regs = usize::from(kernel.num_regs()).max(1);
-    let max_resident = cfg
-        .max_warps_per_sm
-        .min(RegisterFile::new(cfg.regfile).max_slots(num_regs));
+    let num_regs = datapath::num_regs(kernel);
+    let max_resident = datapath::max_resident(cfg, kernel);
     if plan.max_resident_warps > max_resident {
         return Err(plan_err(format!(
             "plan assumes {} resident warps, machine offers {max_resident}",
@@ -221,9 +205,7 @@ fn validate_plan(
                 w.slot, plan.max_resident_warps
             )));
         }
-        let threads =
-            (launch.threads_per_block() - w.warp_in_block * cfg.warp_size).min(cfg.warp_size);
-        let full_mask = full_mask_of(threads);
+        let full_mask = launch.coords(w.block, w.warp_in_block).full_mask();
         lifetimes
             .entry(w.slot)
             .or_default()
@@ -247,7 +229,7 @@ fn validate_plan(
                     format!("{at}: mask {:#x} invalid", s.mask),
                 ));
             }
-            let srcs = unique_srcs(instr);
+            let srcs = instr.unique_srcs();
             if s.sources != srcs {
                 return Err(plan_err_at(
                     gid,
@@ -357,7 +339,7 @@ fn validate_plan(
                         }
                         _ => {
                             let retire = dispatch
-                                + latency_of(cfg, instr.latency_class())
+                                + cfg.latency(instr.latency_class())
                                 + s.decomp_cycles
                                 + s.comp_cycles;
                             if s.retire != Some(retire) {
@@ -456,13 +438,10 @@ struct Replayer<'a> {
     plan: &'a IssuePlan,
     launch: &'a LaunchConfig,
     memory: &'a mut GlobalMemory,
-    codec: BdiCodec,
-    regfile: RegisterFile,
+    dp: Datapath,
     active: Vec<Option<Active>>,
     /// Results computed at dispatch, awaiting their retire cycle.
     pending: HashMap<(usize, usize), WarpRegister>,
-    num_regs: usize,
-    initial_reg: CompressedRegister,
     stats: SimStats,
     final_regs: FinalRegs,
 }
@@ -481,18 +460,10 @@ impl<'a> Replayer<'a> {
         let mut rf_cfg = cfg.regfile;
         rf_cfg.wakeup_latency = 0;
         rf_cfg.drowsy_wakeup_latency = 0;
-        let codec = BdiCodec::new(cfg.compression.choices.clone());
-        let initial_reg = if cfg.compression.is_enabled() {
-            codec.compress(&WarpRegister::ZERO)
-        } else {
-            CompressedRegister::Uncompressed(WarpRegister::ZERO)
-        };
         Replayer {
-            regfile: RegisterFile::new(rf_cfg),
+            dp: Datapath::new(cfg, rf_cfg, kernel),
             active: (0..plan.max_resident_warps).map(|_| None).collect(),
             pending: HashMap::new(),
-            num_regs: usize::from(kernel.num_regs()).max(1),
-            initial_reg,
             stats: SimStats::default(),
             final_regs: FinalRegs::new(),
             cfg,
@@ -500,7 +471,6 @@ impl<'a> Replayer<'a> {
             plan,
             launch,
             memory,
-            codec,
         }
     }
 
@@ -538,7 +508,7 @@ impl<'a> Replayer<'a> {
         }
         debug_assert!(self.active.iter().all(Option::is_none));
         self.stats.cycles = self.plan.total_cycles;
-        self.stats.regfile = self.regfile.stats(self.plan.total_cycles);
+        self.stats.regfile = self.dp.regfile.stats(self.plan.total_cycles);
         self.stats.gating = self.cfg.regfile.gating;
         Ok(ScheduledResult {
             stats: self.stats,
@@ -553,16 +523,11 @@ impl<'a> Replayer<'a> {
                 e.slot, e.time
             )));
         }
-        self.regfile.allocate_warp_with(
-            WarpSlot(e.slot),
-            self.num_regs,
-            &self.initial_reg,
-            e.time,
-        )?;
+        self.dp.allocate(e.slot, e.time)?;
         let w = &self.plan.warps[e.gid];
-        let threads = (self.launch.threads_per_block() - w.warp_in_block * self.cfg.warp_size)
-            .min(self.cfg.warp_size);
-        let full_mask = full_mask_of(threads);
+        // Validation pinned `warp_in_block` below the launch's warps per
+        // block, so the warp holds at least one thread.
+        let full_mask = self.launch.coords(w.block, w.warp_in_block).full_mask();
         self.active[e.slot] = Some(Active {
             gid: e.gid,
             block: w.block,
@@ -607,7 +572,7 @@ impl<'a> Replayer<'a> {
                 ),
             ));
         }
-        let divergent = a.stack.is_diverged() || s.mask != a.full_mask;
+        let divergent = a.stack.is_divergent(a.full_mask);
         if divergent != s.divergent {
             return Err(plan_err_at(
                 e.gid,
@@ -636,9 +601,9 @@ impl<'a> Replayer<'a> {
         // Operand capture. The stored compression state is checked
         // against the plan's charge: a compressed operand the plan
         // modelled as a plain read would have delivered early.
-        let mut values: HashMap<usize, WarpRegister> = HashMap::new();
+        let mut operands = Vec::with_capacity(s.sources.len());
         for &reg in &s.sources {
-            if self.regfile.is_compressed(WarpSlot(e.slot), reg) {
+            if self.dp.regfile.is_compressed(WarpSlot(e.slot), reg) {
                 if s.decomp_cycles == 0 {
                     return Err(plan_err_at(
                         e.gid,
@@ -652,94 +617,33 @@ impl<'a> Replayer<'a> {
                 }
                 self.stats.decompressor_activations += 1;
             }
-            let sample = self
-                .regfile
-                .try_read(WarpSlot(e.slot), reg, e.time)
-                .map_err(|source| SimError::Read {
-                    slot: e.slot,
-                    reg,
-                    source,
-                })?;
-            let value =
-                self.codec
-                    .try_decompress(&sample.register)
-                    .map_err(|err| SimError::Read {
-                        slot: e.slot,
-                        reg,
-                        source: gpu_regfile::ReadError::Corrupted(err),
-                    })?;
-            values.insert(reg, value);
+            let value = Some(self.dp.read(e.slot, reg, e.time)?);
+            operands.push(Fetch { reg, value });
         }
 
         let a = self.active[e.slot].as_mut().expect("warp alive");
-        let (block, warp_in_block) = (a.block, a.warp_in_block);
-        let warp_size = self.cfg.warp_size;
-        let launch = self.launch;
-        let eval = |op: Operand, lane: usize| -> u32 {
-            match op {
-                Operand::Reg(r) => values[&r.index()].lane(lane),
-                Operand::Imm(v) => v as u32,
-                Operand::Param(i) => launch.param(i as usize),
-                Operand::Special(sp) => {
-                    let tid = (warp_in_block * warp_size + lane) as u32;
-                    match sp {
-                        Special::Tid => tid,
-                        Special::Bid => block as u32,
-                        Special::BlockDim => launch.threads_per_block() as u32,
-                        Special::GridDim => launch.blocks() as u32,
-                        Special::GlobalTid => {
-                            block as u32 * launch.threads_per_block() as u32 + tid
-                        }
-                        Special::LaneId => lane as u32,
-                        Special::WarpId => warp_in_block as u32,
-                    }
-                }
+        let effect = Lanes {
+            kernel: self.kernel,
+            launch: self.launch,
+            block: a.block,
+            warp_in_block: a.warp_in_block,
+            pc: s.pc,
+            mask: s.mask,
+            operands: &operands,
+        }
+        .execute(instr, self.memory)?;
+        match effect {
+            Effect::Write { value, .. } | Effect::Load { value, .. } => {
+                self.pending.insert((e.gid, e.step), value);
             }
-        };
-
-        match instr {
-            Instruction::Mov { src, .. } => {
-                let result = WarpRegister::from_fn(|lane| eval(src, lane));
-                self.pending.insert((e.gid, e.step), result);
-            }
-            Instruction::Alu { op, a, b, .. } => {
-                let result = WarpRegister::from_fn(|lane| op.apply(eval(a, lane), eval(b, lane)));
-                self.pending.insert((e.gid, e.step), result);
-            }
-            Instruction::Ld { base, offset, .. } => {
-                let mut result = WarpRegister::ZERO;
-                for lane in 0..warp_size {
-                    if s.mask & (1 << lane) != 0 {
-                        let addr = values[&base.index()].lane(lane).wrapping_add(offset as u32);
-                        result.set_lane(lane, self.memory.load(addr)?);
-                    }
-                }
-                self.pending.insert((e.gid, e.step), result);
-            }
-            Instruction::St { base, offset, src } => {
-                for lane in 0..warp_size {
-                    if s.mask & (1 << lane) != 0 {
-                        let addr = values[&base.index()].lane(lane).wrapping_add(offset as u32);
-                        self.memory.store(addr, values[&src.index()].lane(lane))?;
-                    }
-                }
-            }
-            Instruction::Bra {
-                pred,
+            // The replayer records no memory traffic.
+            Effect::Store(_) => {}
+            Effect::Branch {
+                taken,
                 target,
                 reconv,
             } => {
-                let pv = &values[&pred.index()];
-                let mut taken = 0u32;
-                for lane in 0..warp_size {
-                    if s.mask & (1 << lane) != 0 && pv.lane(lane) != 0 {
-                        taken |= 1 << lane;
-                    }
-                }
                 a.stack.branch(taken, target, reconv);
-            }
-            Instruction::Jmp { .. } | Instruction::Exit => {
-                unreachable!("control-only steps have no dispatch (validated)")
             }
         }
         Ok(())
@@ -747,86 +651,35 @@ impl<'a> Replayer<'a> {
 
     fn retire(&mut self, e: Event) -> Result<(), SimError> {
         let s = &self.plan.warps[e.gid].steps[e.step];
-        let reg = s.dst.expect("retiring step writes (validated)");
-        let mut result = self
-            .pending
-            .remove(&(e.gid, e.step))
-            .expect("dispatch precedes retire (validated ordering)");
-
-        if s.mask != u32::MAX {
-            // Merge the stored value into inactive lanes. Under the
-            // §5.2 policy per-lane write enables make this free; under
-            // decompress-merge-recompress a divergent merge costs a
-            // counted read (and a decompressor pass when compressed).
-            let counted = self.cfg.compression.is_enabled()
-                && self.cfg.compression.divergence == DivergencePolicy::DecompressMergeRecompress
-                && s.divergent;
-            let stored = if counted {
-                let read = self.regfile.read(WarpSlot(e.slot), reg, e.time);
-                if read.register.is_compressed() {
-                    self.stats.decompressor_activations += 1;
-                }
-                *read.register
-            } else {
-                self.regfile
-                    .peek(WarpSlot(e.slot), reg)
-                    .copied()
-                    .ok_or(SimError::Read {
-                        slot: e.slot,
-                        reg,
-                        source: gpu_regfile::ReadError::Unallocated,
-                    })?
-            };
-            let old = self
-                .codec
-                .try_decompress(&stored)
-                .map_err(|err| SimError::Read {
-                    slot: e.slot,
-                    reg,
-                    source: gpu_regfile::ReadError::Corrupted(err),
-                })?;
-            result = old.merge_masked(&result, s.mask);
-        }
-
-        let compressed = if s.compresses {
-            self.stats.compressor_activations += 1;
-            self.codec.compress(&result)
-        } else {
-            CompressedRegister::Uncompressed(result)
+        let mut w = PendingWrite {
+            slot: e.slot,
+            reg: s.dst.expect("retiring step writes (validated)"),
+            value: self
+                .pending
+                .remove(&(e.gid, e.step))
+                .expect("dispatch precedes retire (validated ordering)"),
+            mask: s.mask,
+            divergent: s.divergent,
+            synthetic: false,
         };
-        let class = compressed.class();
-        self.stats.writes += 1;
-        if class.is_compressed() {
-            self.stats.writes_compressed += 1;
-        }
-        let logical = bdi::WARP_REGISTER_BYTES as u64;
-        let stored_len = compressed.stored_len() as u64;
-        if s.divergent {
-            self.stats.div_logical_bytes += logical;
-            self.stats.div_stored_bytes += stored_len;
+        self.dp.merge(&mut w, &mut self.stats, e.time)?;
+        let stored = if s.compresses {
+            self.stats.compressor_activations += 1;
+            self.dp.codec.compress(&w.value)
         } else {
-            self.stats.nondiv_logical_bytes += logical;
-            self.stats.nondiv_stored_bytes += stored_len;
-        }
-        match self
-            .regfile
-            .write(WarpSlot(e.slot), reg, compressed, e.time)
-        {
-            Ok(_) => Ok(()),
-            Err(WriteError::NotReady { ready_at }) => Err(plan_err_at(
-                e.gid,
-                s.pc,
-                format!(
-                    "warp {} pc {}: bank not ready until {ready_at} despite static pre-wake",
-                    e.gid, s.pc
-                ),
-            )),
-            Err(WriteError::Unallocated) => Err(plan_err_at(
-                e.gid,
-                s.pc,
-                format!("warp {} pc {}: write to a freed slot", e.gid, s.pc),
-            )),
-        }
+            CompressedRegister::Uncompressed(w.value)
+        };
+        self.dp
+            .write(&w, stored, &mut self.stats, e.time)
+            .map_err(|err| {
+                let why = match err {
+                    WriteError::NotReady { ready_at } => {
+                        format!("bank not ready until {ready_at} despite static pre-wake")
+                    }
+                    WriteError::Unallocated => "write to a freed slot".to_string(),
+                };
+                plan_err_at(e.gid, s.pc, format!("warp {} pc {}: {why}", e.gid, s.pc))
+            })
     }
 
     fn free(&mut self, e: Event) -> Result<(), SimError> {
@@ -847,17 +700,9 @@ impl<'a> Replayer<'a> {
                 ),
             ));
         }
-        let regs = (0..self.num_regs)
-            .map(|r| {
-                let stored = self
-                    .regfile
-                    .peek(WarpSlot(e.slot), r)
-                    .expect("still allocated");
-                self.codec.decompress(stored)
-            })
-            .collect();
-        self.final_regs.insert((a.block, a.warp_in_block), regs);
-        self.regfile.free_warp(WarpSlot(e.slot), e.time);
+        self.final_regs
+            .insert((a.block, a.warp_in_block), self.dp.capture(e.slot));
+        self.dp.free(e.slot, e.time);
         Ok(())
     }
 }
@@ -866,7 +711,7 @@ impl<'a> Replayer<'a> {
 mod tests {
     use super::*;
     use simt_analysis::{schedule_kernel, PerfLaunch, PerfMachine};
-    use simt_isa::{AluOp, KernelBuilder, Reg};
+    use simt_isa::{AluOp, KernelBuilder, Operand, Reg, Special};
 
     fn machine_for(cfg: &GpuConfig) -> PerfMachine {
         if cfg.compression.is_enabled() {
@@ -877,9 +722,7 @@ mod tests {
     }
 
     fn residency(cfg: &GpuConfig, kernel: &Kernel) -> usize {
-        let num_regs = usize::from(kernel.num_regs()).max(1);
-        cfg.max_warps_per_sm
-            .min(RegisterFile::new(cfg.regfile).max_slots(num_regs))
+        GpuSim::new(cfg.clone()).max_resident_warps(kernel)
     }
 
     /// Plans and replays `kernel`, checking the three-way agreement
@@ -1029,6 +872,37 @@ mod tests {
             .run_scheduled(&kernel, &plan, &launch, &mut mem)
             .unwrap_err();
         assert!(matches!(err, SimError::Plan { .. }), "got {err}");
+    }
+
+    #[test]
+    fn memory_fault_is_attributed_like_the_dynamic_core() {
+        // 32 threads store to mem[gtid], but memory holds 16 words.
+        let kernel = straight_kernel();
+        let cfg = GpuConfig::warped_compression();
+        let plan = schedule_kernel(
+            &kernel,
+            &PerfLaunch::new(1, 32),
+            &machine_for(&cfg),
+            residency(&cfg, &kernel),
+        )
+        .unwrap();
+        let launch = LaunchConfig::new(1, 32);
+        let sim = GpuSim::new(cfg);
+        let dynamic = sim
+            .run(&kernel, &launch, &mut GlobalMemory::zeroed(16))
+            .unwrap_err();
+        let replayed = sim
+            .run_scheduled(&kernel, &plan, &launch, &mut GlobalMemory::zeroed(16))
+            .unwrap_err();
+        assert!(
+            matches!(
+                &replayed,
+                SimError::MemoryAt { kernel, block: 0, warp_in_block: 0, pc: 3, fault }
+                    if kernel == "straight" && fault.addr == 16
+            ),
+            "got {replayed:?}"
+        );
+        assert_eq!(replayed, dynamic);
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! The streaming-multiprocessor pipeline: issue → operand collection →
 //! execution → compression-aware writeback.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::mem;
 
-use bdi::{BdiCodec, CompressedRegister, CompressionClass, WarpRegister};
-use gpu_regfile::{BankPorts, RegFileError, RegisterFile, WarpSlot, WriteError};
-use simt_isa::{Instruction, Kernel, LatencyClass, Operand, Special};
+use bdi::{CompressedRegister, CompressionClass, WarpRegister};
+use gpu_regfile::{BankPorts, RegFileError, WarpSlot, WriteError};
+use simt_isa::{Instruction, Kernel, LatencyClass, Operand};
 
 use crate::config::{DivergencePolicy, GpuConfig, SchedulerPolicy};
+use crate::datapath::{self, Datapath, Effect, Fetch, Lanes, PendingWrite};
 use crate::launch::LaunchConfig;
 use crate::memory::{GlobalMemory, MemoryFault};
 use crate::scoreboard::Scoreboard;
@@ -20,12 +21,9 @@ use crate::warp::WarpState;
 /// Simulation failures.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SimError {
-    /// A thread accessed global memory out of range.
-    Memory(MemoryFault),
     /// A thread accessed global memory out of range, with the faulting
-    /// access site attributed (kernel, warp, pc). The engine raises
-    /// this instead of the bare [`SimError::Memory`] whenever the
-    /// context is known.
+    /// access site attributed (kernel, warp, pc). Both engines raise
+    /// every memory fault this way.
     MemoryAt {
         /// Kernel the faulting instruction belongs to.
         kernel: String,
@@ -90,7 +88,6 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::Memory(m) => write!(f, "memory fault: {m}"),
             SimError::MemoryAt {
                 kernel,
                 block,
@@ -142,7 +139,6 @@ impl fmt::Display for SimError {
 impl Error for SimError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            SimError::Memory(m) => Some(m),
             SimError::MemoryAt { fault, .. } => Some(fault),
             SimError::RegFile(e) => Some(e),
             SimError::Read { source, .. } => Some(source),
@@ -151,32 +147,9 @@ impl Error for SimError {
     }
 }
 
-impl From<MemoryFault> for SimError {
-    fn from(m: MemoryFault) -> Self {
-        SimError::Memory(m)
-    }
-}
-
 impl From<RegFileError> for SimError {
     fn from(e: RegFileError) -> Self {
         SimError::RegFile(e)
-    }
-}
-
-/// Attributes a [`MemoryFault`] to its access site.
-fn mem_fault_at(
-    kernel: &str,
-    block: usize,
-    warp_in_block: usize,
-    pc: usize,
-    fault: MemoryFault,
-) -> SimError {
-    SimError::MemoryAt {
-        kernel: kernel.to_string(),
-        block,
-        warp_in_block,
-        pc,
-        fault,
     }
 }
 
@@ -215,10 +188,7 @@ impl GpuSim {
     /// ahead-of-time issue plan must be laid out for exactly this
     /// residency to replay here.
     pub fn max_resident_warps(&self, kernel: &Kernel) -> usize {
-        let num_regs = kernel.num_regs().max(1) as usize;
-        self.cfg
-            .max_warps_per_sm
-            .min(RegisterFile::new(self.cfg.regfile).max_slots(num_regs))
+        datapath::max_resident(&self.cfg, kernel)
     }
 
     /// Runs a kernel to completion.
@@ -349,9 +319,10 @@ impl GpuSim {
         );
         match engine {
             Ok(mut engine) => {
-                engine.regfile.arm_faults(injector);
+                engine.dp.regfile.arm_faults(injector);
                 let result = engine.run_loop();
                 let log = engine
+                    .dp
                     .regfile
                     .take_fault_log()
                     .expect("injector armed above");
@@ -366,12 +337,6 @@ impl GpuSim {
 // ---------------------------------------------------------------------
 // Internal pipeline structures
 // ---------------------------------------------------------------------
-
-#[derive(Clone, Debug)]
-struct Fetch {
-    reg: usize,
-    value: Option<WarpRegister>,
-}
 
 #[derive(Clone, Debug)]
 struct Collector {
@@ -407,13 +372,8 @@ enum WbState {
 
 #[derive(Clone, Debug)]
 struct WbEntry {
-    slot: usize,
     pc: usize,
-    reg: usize,
-    result: WarpRegister,
-    mask: u32,
-    divergent: bool,
-    synthetic: bool,
+    write: PendingWrite,
     state: WbState,
 }
 
@@ -423,8 +383,7 @@ struct Engine<'a> {
     launch: &'a LaunchConfig,
     memory: &'a mut GlobalMemory,
     observer: &'a mut dyn FnMut(&WriteEvent),
-    codec: BdiCodec,
-    regfile: RegisterFile,
+    dp: Datapath,
     ports: BankPorts,
     scoreboard: Scoreboard,
     warps: Vec<Option<WarpState>>,
@@ -437,8 +396,6 @@ struct Engine<'a> {
     next_block: usize,
     last_block: usize,
     launch_seq: u64,
-    num_regs: usize,
-    initial_reg: CompressedRegister,
     stats: SimStats,
     last_progress: u64,
     /// When armed, drained warps deposit their decompressed registers
@@ -447,9 +404,6 @@ struct Engine<'a> {
     /// When armed, every dispatched load/store delivers a [`MemEvent`]
     /// (pc, warp, active mask, per-lane addresses) here.
     mem_observer: Option<&'a mut dyn FnMut(&MemEvent)>,
-    /// Uncompressed mirror every decompressed read is checked against.
-    #[cfg(feature = "sanitize")]
-    shadow: gpu_regfile::ShadowRegisterFile,
     /// Independent RAW/WAW/WAR re-check of every issue/capture/retire.
     #[cfg(feature = "sanitize")]
     oracle: crate::sanitize::HazardOracle,
@@ -467,22 +421,14 @@ impl<'a> Engine<'a> {
         block_range: std::ops::Range<usize>,
         observer: &'a mut dyn FnMut(&WriteEvent),
     ) -> Result<Self, SimError> {
-        let num_regs = kernel.num_regs().max(1) as usize;
-        let regfile = RegisterFile::new(cfg.regfile);
-        let max_resident = cfg.max_warps_per_sm.min(regfile.max_slots(num_regs));
-        let warps_needed = launch.warps_per_block(cfg.warp_size);
+        let max_resident = datapath::max_resident(cfg, kernel);
+        let warps_needed = launch.warps_per_block();
         if warps_needed > max_resident {
             return Err(SimError::BlockTooLarge {
                 warps_needed,
                 slots_available: max_resident,
             });
         }
-        let codec = BdiCodec::new(cfg.compression.choices.clone());
-        let initial_reg = if cfg.compression.is_enabled() {
-            codec.compress(&WarpRegister::ZERO)
-        } else {
-            CompressedRegister::Uncompressed(WarpRegister::ZERO)
-        };
         Ok(Engine {
             ports: BankPorts::new(cfg.regfile.num_banks),
             scoreboard: Scoreboard::new(),
@@ -496,23 +442,22 @@ impl<'a> Engine<'a> {
             next_block: block_range.start,
             last_block: block_range.end,
             launch_seq: 0,
-            num_regs,
-            initial_reg,
             stats: SimStats::default(),
             last_progress: 0,
             capture: None,
             mem_observer: None,
             #[cfg(feature = "sanitize")]
-            shadow: gpu_regfile::ShadowRegisterFile::new(),
-            #[cfg(feature = "sanitize")]
-            oracle: crate::sanitize::HazardOracle::new(kernel.name(), max_resident, num_regs),
+            oracle: crate::sanitize::HazardOracle::new(
+                kernel.name(),
+                max_resident,
+                datapath::num_regs(kernel),
+            ),
             cfg,
             kernel,
             launch,
             memory,
             observer,
-            codec,
-            regfile,
+            dp: Datapath::new(cfg, cfg.regfile, kernel),
         })
     }
 
@@ -548,7 +493,7 @@ impl<'a> Engine<'a> {
             }
         }
         self.stats.cycles = self.now;
-        self.stats.regfile = self.regfile.stats(self.now);
+        self.stats.regfile = self.dp.regfile.stats(self.now);
         self.stats.gating = self.cfg.regfile.gating;
         Ok(SimResult {
             stats: mem::take(&mut self.stats),
@@ -564,7 +509,7 @@ impl<'a> Engine<'a> {
     // -----------------------------------------------------------------
 
     fn launch_blocks(&mut self) -> Result<(), SimError> {
-        let wpb = self.launch.warps_per_block(self.cfg.warp_size);
+        let wpb = self.launch.warps_per_block();
         loop {
             if self.next_block >= self.last_block {
                 return Ok(());
@@ -577,22 +522,10 @@ impl<'a> Engine<'a> {
                 return Ok(());
             }
             let block = self.next_block;
-            let tpb = self.launch.threads_per_block();
             for (w, &slot) in free.iter().enumerate() {
-                let threads = (tpb - w * self.cfg.warp_size).min(self.cfg.warp_size);
-                self.regfile.allocate_warp_with(
-                    WarpSlot(slot),
-                    self.num_regs,
-                    &self.initial_reg,
-                    self.now,
-                )?;
-                #[cfg(feature = "sanitize")]
-                self.shadow.allocate_warp(
-                    WarpSlot(slot),
-                    self.num_regs,
-                    self.codec.decompress(&self.initial_reg),
-                );
-                self.warps[slot] = Some(WarpState::new(slot, block, w, threads, self.launch_seq));
+                self.dp.allocate(slot, self.now)?;
+                let full_mask = self.launch.coords(block, w).full_mask();
+                self.warps[slot] = Some(WarpState::new(slot, block, w, full_mask, self.launch_seq));
                 self.launch_seq += 1;
             }
             self.next_block += 1;
@@ -608,22 +541,12 @@ impl<'a> Engine<'a> {
             if let Some(s) = drained_slot {
                 debug_assert!(self.scoreboard.is_warp_idle(s));
                 #[cfg(feature = "sanitize")]
-                {
-                    self.oracle.on_warp_free(s);
-                    self.shadow.free_warp(WarpSlot(s));
-                }
+                self.oracle.on_warp_free(s);
                 if let Some(cap) = self.capture.as_mut() {
                     let w = self.warps[s].as_ref().expect("drained warp present");
-                    let regs = (0..self.num_regs)
-                        .map(|r| {
-                            let stored =
-                                self.regfile.peek(WarpSlot(s), r).expect("still allocated");
-                            self.codec.decompress(stored)
-                        })
-                        .collect();
-                    cap.insert((w.block, w.warp_in_block), regs);
+                    cap.insert((w.block, w.warp_in_block), self.dp.capture(s));
                 }
-                self.regfile.free_warp(WarpSlot(s), self.now);
+                self.dp.free(s, self.now);
                 self.warps[s] = None;
             }
         }
@@ -697,7 +620,7 @@ impl<'a> Engine<'a> {
             && divergent
             && instr
                 .dst()
-                .map(|d| self.regfile.is_compressed(WarpSlot(slot), d.index()))
+                .map(|d| self.dp.regfile.is_compressed(WarpSlot(slot), d.index()))
                 .unwrap_or(false);
         let (actual, actual_mask, synthetic) = if inject {
             let d = instr.dst().expect("inject requires a destination");
@@ -713,7 +636,7 @@ impl<'a> Engine<'a> {
             (instr, mask, false)
         };
 
-        let srcs = unique_srcs(&actual);
+        let srcs = actual.unique_srcs();
         let dst = actual.dst().map(|r| r.index());
         if !self.scoreboard.can_issue(slot, &srcs, dst) {
             self.stats.stalls.record(pc, StallCause::Scoreboard);
@@ -812,6 +735,7 @@ impl<'a> Engine<'a> {
         let bank_base = cluster * self.cfg.regfile.banks_per_cluster;
         for f in c.fetches.iter_mut().filter(|f| f.value.is_none()) {
             let indicator = self
+                .dp
                 .regfile
                 .indicator(WarpSlot(c.slot), f.reg)
                 .expect("operand register is allocated");
@@ -827,40 +751,7 @@ impl<'a> Engine<'a> {
                 self.stats.stalls.record(c.pc, StallCause::BankConflict);
                 continue;
             }
-            let sample = self
-                .regfile
-                .try_read(WarpSlot(c.slot), f.reg, self.now)
-                .map_err(|source| SimError::Read {
-                    slot: c.slot,
-                    reg: f.reg,
-                    source,
-                })?;
-            let value =
-                self.codec
-                    .try_decompress(&sample.register)
-                    .map_err(|e| SimError::Read {
-                        slot: c.slot,
-                        reg: f.reg,
-                        source: gpu_regfile::ReadError::Corrupted(e),
-                    })?;
-            #[cfg(feature = "sanitize")]
-            {
-                use gpu_regfile::FaultDisposition;
-                if sample.fault == Some(FaultDisposition::SilentCorruption) {
-                    // The injector claims the delivered value is wrong;
-                    // the shadow must agree, or the classification lies.
-                    assert!(
-                        !self.shadow.matches(WarpSlot(c.slot), f.reg, &value),
-                        "sanitize: injector reported silent corruption of slot {} r{} \
-                         but the delivered value matches the shadow",
-                        c.slot,
-                        f.reg,
-                    );
-                } else {
-                    self.shadow.check_read(WarpSlot(c.slot), f.reg, &value);
-                }
-            }
-            f.value = Some(value);
+            f.value = Some(self.dp.read(c.slot, f.reg, self.now)?);
             if compressed {
                 self.decomp_starts += 1;
                 self.stats.decompressor_activations += 1;
@@ -877,114 +768,41 @@ impl<'a> Engine<'a> {
         self.scoreboard.release_reads(c.slot, &srcs);
         #[cfg(feature = "sanitize")]
         self.oracle.on_capture(c.slot, &srcs);
-        let values: HashMap<usize, WarpRegister> = c
-            .fetches
-            .iter()
-            .map(|f| (f.reg, f.value.expect("dispatch requires all operands")))
-            .collect();
         let warp = self.warps[c.slot]
             .as_ref()
             .expect("warp alive while in flight");
-        let warp_size = self.cfg.warp_size;
-
-        let eval = |op: Operand, lane: usize| -> u32 {
-            match op {
-                Operand::Reg(r) => values[&r.index()].lane(lane),
-                Operand::Imm(v) => v as u32,
-                Operand::Param(i) => self.launch.param(i as usize),
-                Operand::Special(s) => {
-                    let tid = warp.tid_of_lane(lane, warp_size);
-                    match s {
-                        Special::Tid => tid,
-                        Special::Bid => warp.block as u32,
-                        Special::BlockDim => self.launch.threads_per_block() as u32,
-                        Special::GridDim => self.launch.blocks() as u32,
-                        Special::GlobalTid => {
-                            warp.block as u32 * self.launch.threads_per_block() as u32 + tid
-                        }
-                        Special::LaneId => lane as u32,
-                        Special::WarpId => warp.warp_in_block as u32,
-                    }
-                }
-            }
-        };
-
-        match c.instr {
-            Instruction::Mov { dst, src } => {
-                let result = WarpRegister::from_fn(|lane| eval(src, lane));
-                let done_at = self.now + self.cfg.alu_latency + c.decomp_extra;
-                self.push_writeback(&c, dst.index(), result, done_at);
-            }
-            Instruction::Alu { op, dst, a, b } => {
-                let result = WarpRegister::from_fn(|lane| op.apply(eval(a, lane), eval(b, lane)));
-                let latency = match op.latency_class() {
-                    LatencyClass::Sfu => self.cfg.sfu_latency,
-                    _ => self.cfg.alu_latency,
-                };
-                let done_at = self.now + latency + c.decomp_extra;
-                self.push_writeback(&c, dst.index(), result, done_at);
-            }
-            Instruction::Ld { dst, base, offset } => {
-                let (wblock, wwarp) = (warp.block, warp.warp_in_block);
-                let mut result = WarpRegister::ZERO;
-                let mut addrs = [0u32; 32];
-                let mut vals = [0u32; 32];
-                for (lane, slot) in addrs.iter_mut().enumerate().take(warp_size) {
-                    if c.mask & (1 << lane) != 0 {
-                        let addr = values[&base.index()].lane(lane).wrapping_add(offset as u32);
-                        *slot = addr;
-                        let word = self.memory.load(addr).map_err(|fault| {
-                            mem_fault_at(self.kernel.name(), wblock, wwarp, c.pc, fault)
-                        })?;
-                        result.set_lane(lane, word);
-                        vals[lane] = word;
-                    }
-                }
-                self.record_mem(&c, wblock, wwarp, addrs, vals, false);
-                let done_at = self.now + self.cfg.mem_latency + c.decomp_extra;
-                self.push_writeback(&c, dst.index(), result, done_at);
-                let warp = self.warps[c.slot].as_mut().expect("warp alive");
+        let effect = Lanes {
+            kernel: self.kernel,
+            launch: self.launch,
+            block: warp.block,
+            warp_in_block: warp.warp_in_block,
+            pc: c.pc,
+            mask: c.mask,
+            operands: &c.fetches,
+        }
+        .execute(c.instr, self.memory)?;
+        let done_at = self.now + self.cfg.latency(c.instr.latency_class()) + c.decomp_extra;
+        let warp = self.warps[c.slot].as_mut().expect("warp alive");
+        match effect {
+            Effect::Write { reg, value } => self.push_writeback(&c, reg, value, done_at),
+            Effect::Load { reg, value, access } => {
                 warp.pending_mem -= 1;
+                self.record_mem(&access);
+                self.push_writeback(&c, reg, value, done_at);
             }
-            Instruction::St { base, offset, src } => {
-                let (wblock, wwarp) = (warp.block, warp.warp_in_block);
-                let mut addrs = [0u32; 32];
-                let mut vals = [0u32; 32];
-                for (lane, slot) in addrs.iter_mut().enumerate().take(warp_size) {
-                    if c.mask & (1 << lane) != 0 {
-                        let addr = values[&base.index()].lane(lane).wrapping_add(offset as u32);
-                        *slot = addr;
-                        let word = values[&src.index()].lane(lane);
-                        self.memory.store(addr, word).map_err(|fault| {
-                            mem_fault_at(self.kernel.name(), wblock, wwarp, c.pc, fault)
-                        })?;
-                        vals[lane] = word;
-                    }
-                }
-                self.record_mem(&c, wblock, wwarp, addrs, vals, true);
-                let warp = self.warps[c.slot].as_mut().expect("warp alive");
+            Effect::Store(access) => {
                 warp.inflight -= 1;
                 warp.pending_mem -= 1;
+                self.record_mem(&access);
             }
-            Instruction::Bra {
-                pred,
+            Effect::Branch {
+                taken,
                 target,
                 reconv,
             } => {
-                let pv = &values[&pred.index()];
-                let mut taken = 0u32;
-                for lane in 0..warp_size {
-                    if c.mask & (1 << lane) != 0 && pv.lane(lane) != 0 {
-                        taken |= 1 << lane;
-                    }
-                }
-                let warp = self.warps[c.slot].as_mut().expect("warp alive");
                 warp.stack.branch(taken, target, reconv);
                 warp.blocked = false;
                 warp.inflight -= 1;
-            }
-            Instruction::Jmp { .. } | Instruction::Exit => {
-                unreachable!("control-only instructions issue without a collector")
             }
         }
         Ok(())
@@ -993,48 +811,30 @@ impl<'a> Engine<'a> {
     /// Charges coalescer traffic for one dispatched access (distinct
     /// 32-word segments across the active lanes) and feeds the armed
     /// memory-trace observer, if any.
-    #[allow(clippy::too_many_arguments)]
-    fn record_mem(
-        &mut self,
-        c: &Collector,
-        block: usize,
-        warp_in_block: usize,
-        addrs: [u32; 32],
-        values: [u32; 32],
-        is_store: bool,
-    ) {
-        if c.mask == 0 {
+    fn record_mem(&mut self, access: &MemEvent) {
+        if access.mask == 0 {
             return;
         }
-        let mut segs: Vec<u32> = (0..self.cfg.warp_size)
-            .filter(|lane| c.mask >> lane & 1 == 1)
-            .map(|lane| addrs[lane] >> 5)
-            .collect();
+        let mut segs: Vec<u32> = access.active_addrs().map(|(_, a)| a >> 5).collect();
         segs.sort_unstable();
         segs.dedup();
-        self.stats.mem.record(c.pc, segs.len() as u64);
+        self.stats.mem.record(access.pc, segs.len() as u64);
         if let Some(observer) = self.mem_observer.as_mut() {
-            observer(&MemEvent {
-                pc: c.pc,
-                block,
-                warp_in_block,
-                mask: c.mask,
-                addrs,
-                values,
-                is_store,
-            });
+            observer(access);
         }
     }
 
-    fn push_writeback(&mut self, c: &Collector, reg: usize, result: WarpRegister, done_at: u64) {
+    fn push_writeback(&mut self, c: &Collector, reg: usize, value: WarpRegister, done_at: u64) {
         self.writebacks.push(WbEntry {
-            slot: c.slot,
             pc: c.pc,
-            reg,
-            result,
-            mask: c.mask,
-            divergent: c.divergent,
-            synthetic: c.synthetic,
+            write: PendingWrite {
+                slot: c.slot,
+                reg,
+                value,
+                mask: c.mask,
+                divergent: c.divergent,
+                synthetic: c.synthetic,
+            },
             state: WbState::Await { done_at },
         });
     }
@@ -1070,13 +870,14 @@ impl<'a> Engine<'a> {
                 if self.now < *done_at {
                     return Ok(StepOutcome::Stalled);
                 }
-                self.merge_result(e)?;
+                self.dp.merge(&mut e.write, &mut self.stats, self.now)?;
+                let w = &e.write;
                 let skip_compressor = !comp.is_enabled()
-                    || e.synthetic
-                    || (e.divergent && comp.divergence == DivergencePolicy::UncompressedWrites);
+                    || w.synthetic
+                    || (w.divergent && comp.divergence == DivergencePolicy::UncompressedWrites);
                 e.state = if skip_compressor {
                     WbState::Ready {
-                        compressed: CompressedRegister::Uncompressed(e.result),
+                        compressed: CompressedRegister::Uncompressed(w.value),
                         not_before: self.now,
                     }
                 } else {
@@ -1090,7 +891,7 @@ impl<'a> Engine<'a> {
                 }
                 self.comp_starts += 1;
                 self.stats.compressor_activations += 1;
-                let compressed = self.codec.compress(&e.result);
+                let compressed = self.dp.codec.compress(&e.write.value);
                 e.state = WbState::Compressing {
                     done_at: self.now + comp.compression_latency,
                     compressed,
@@ -1117,7 +918,7 @@ impl<'a> Engine<'a> {
                 if self.now < *not_before {
                     return Ok(StepOutcome::Stalled);
                 }
-                let cluster = e.slot % self.cfg.regfile.num_clusters();
+                let cluster = e.write.slot % self.cfg.regfile.num_clusters();
                 let bank_base = cluster * self.cfg.regfile.banks_per_cluster;
                 let banks = compressed.banks_required();
                 if !self.ports.try_write(bank_base..bank_base + banks) {
@@ -1125,12 +926,10 @@ impl<'a> Engine<'a> {
                     return Ok(StepOutcome::Stalled);
                 }
                 match self
-                    .regfile
-                    .write(WarpSlot(e.slot), e.reg, *compressed, self.now)
+                    .dp
+                    .write(&e.write, *compressed, &mut self.stats, self.now)
                 {
-                    Ok(_) => {
-                        #[cfg(feature = "sanitize")]
-                        self.shadow.record_write(WarpSlot(e.slot), e.reg, &e.result);
+                    Ok(()) => {
                         self.retire_write(e, compressed.class());
                         Ok(StepOutcome::Retired)
                     }
@@ -1150,97 +949,20 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Folds the old register value into the inactive lanes of a partial
-    /// write, charging energy according to the divergence policy.
-    ///
-    /// The merge read deliberately bypasses the fault injector: the
-    /// injection point is operand fetch, and a pending corruption of the
-    /// destination is about to be overwritten (the injector resolves it
-    /// as masked on the subsequent write).
-    fn merge_result(&mut self, e: &mut WbEntry) -> Result<(), SimError> {
-        if e.mask == u32::MAX {
-            return Ok(());
-        }
-        let comp = &self.cfg.compression;
-        let use_counted_read = comp.is_enabled()
-            && comp.divergence == DivergencePolicy::DecompressMergeRecompress
-            && e.divergent;
-        let old = if use_counted_read {
-            // The rejected §5.2 alternative: the destination is read (and
-            // decompressed) before the merge, costing bank reads and a
-            // decompressor activation.
-            let read = self.regfile.read(WarpSlot(e.slot), e.reg, self.now);
-            if read.register.is_compressed() {
-                self.stats.decompressor_activations += 1;
-            }
-            let register = *read.register;
-            self.try_decompress(e.slot, e.reg, &register)?
-        } else {
-            // Per-lane write enables: merging costs nothing.
-            let stored =
-                self.regfile
-                    .peek(WarpSlot(e.slot), e.reg)
-                    .copied()
-                    .ok_or(SimError::Read {
-                        slot: e.slot,
-                        reg: e.reg,
-                        source: gpu_regfile::ReadError::Unallocated,
-                    })?;
-            self.try_decompress(e.slot, e.reg, &stored)?
-        };
-        #[cfg(feature = "sanitize")]
-        self.shadow.check_read(WarpSlot(e.slot), e.reg, &old);
-        e.result = old.merge_masked(&e.result, e.mask);
-        Ok(())
-    }
-
-    /// Decode with the stored-form validation of [`BdiCodec::try_decompress`],
-    /// lifting failures into [`SimError::Read`].
-    fn try_decompress(
-        &self,
-        slot: usize,
-        reg: usize,
-        stored: &CompressedRegister,
-    ) -> Result<WarpRegister, SimError> {
-        self.codec
-            .try_decompress(stored)
-            .map_err(|e| SimError::Read {
-                slot,
-                reg,
-                source: gpu_regfile::ReadError::Corrupted(e),
-            })
-    }
-
+    /// Publishes a stored write and releases what it held.
     fn retire_write(&mut self, e: &WbEntry, class: CompressionClass) {
-        self.stats.writes += 1;
-        if class.is_compressed() {
-            self.stats.writes_compressed += 1;
-        }
-        if !e.synthetic {
-            let logical = bdi::WARP_REGISTER_BYTES as u64;
-            let stored = match &e.state {
-                WbState::Ready { compressed, .. } => compressed.stored_len() as u64,
-                _ => unreachable!("retire only from Ready"),
-            };
-            if e.divergent {
-                self.stats.div_logical_bytes += logical;
-                self.stats.div_stored_bytes += stored;
-            } else {
-                self.stats.nondiv_logical_bytes += logical;
-                self.stats.nondiv_stored_bytes += stored;
-            }
-        }
+        let w = &e.write;
         (self.observer)(&WriteEvent {
             pc: e.pc,
-            value: e.result,
+            value: w.value,
             class,
-            divergent: e.divergent,
-            synthetic: e.synthetic,
+            divergent: w.divergent,
+            synthetic: w.synthetic,
         });
-        self.scoreboard.release_write(e.slot, e.reg);
+        self.scoreboard.release_write(w.slot, w.reg);
         #[cfg(feature = "sanitize")]
-        self.oracle.on_retire_write(e.slot, e.reg);
-        let warp = self.warps[e.slot]
+        self.oracle.on_retire_write(w.slot, w.reg);
+        let warp = self.warps[w.slot]
             .as_mut()
             .expect("warp alive while in flight");
         warp.inflight -= 1;
@@ -1259,7 +981,7 @@ impl<'a> Engine<'a> {
                 continue;
             }
             let divergent = w.is_divergent();
-            let (compressed, total) = self.regfile.warp_census(WarpSlot(slot));
+            let (compressed, total) = self.dp.regfile.warp_census(WarpSlot(slot));
             if divergent {
                 self.stats.census.div_compressed += compressed as u64;
                 self.stats.census.div_total += total as u64;
@@ -1277,21 +999,10 @@ enum StepOutcome {
     Retired,
 }
 
-/// Unique source registers of an instruction, in first-use order.
-pub(crate) fn unique_srcs(instr: &Instruction) -> Vec<usize> {
-    let mut srcs: Vec<usize> = Vec::new();
-    for r in instr.src_regs() {
-        if !srcs.contains(&r.index()) {
-            srcs.push(r.index());
-        }
-    }
-    srcs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simt_isa::{AluOp, KernelBuilder, Reg};
+    use simt_isa::{AluOp, KernelBuilder, Reg, Special};
 
     fn run_kernel(
         cfg: GpuConfig,
@@ -1699,10 +1410,7 @@ mod tests {
             // A corrupted stored form may fail decode, and a silently
             // corrupted address register may fault in memory downstream.
             assert!(
-                matches!(
-                    e,
-                    SimError::Read { .. } | SimError::Memory(_) | SimError::MemoryAt { .. }
-                ),
+                matches!(e, SimError::Read { .. } | SimError::MemoryAt { .. }),
                 "unexpected: {e}"
             );
         }

@@ -1,6 +1,6 @@
 //! Per-warp runtime state.
 
-use crate::simt_stack::SimtStack;
+use simt_isa::SimtStack;
 
 /// A resident warp's execution context: identity within its block plus
 /// the SIMT stack. Register values live in the register file, not here.
@@ -30,20 +30,19 @@ pub struct WarpState {
 }
 
 impl WarpState {
-    /// Creates a warp ready to run from pc 0.
+    /// Creates a warp of the threads in `full_mask`, ready to run from
+    /// pc 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `full_mask` is zero (see [`SimtStack::new`]).
     pub fn new(
         slot: usize,
         block: usize,
         warp_in_block: usize,
-        threads: usize,
+        full_mask: u32,
         launch_seq: u64,
     ) -> Self {
-        assert!((1..=32).contains(&threads), "warp needs 1..=32 threads");
-        let full_mask = if threads == 32 {
-            u32::MAX
-        } else {
-            (1u32 << threads) - 1
-        };
         WarpState {
             slot,
             block,
@@ -60,7 +59,7 @@ impl WarpState {
     /// Whether the warp currently executes with a partial mask or below
     /// top level — the paper's "divergent" execution phase.
     pub fn is_divergent(&self) -> bool {
-        self.stack.is_diverged() || (self.stack.mask() != self.full_mask && !self.stack.is_done())
+        !self.stack.is_done() && self.stack.is_divergent(self.full_mask)
     }
 
     /// All threads exited.
@@ -72,11 +71,6 @@ impl WarpState {
     pub fn is_drained(&self) -> bool {
         self.is_done() && self.inflight == 0
     }
-
-    /// The thread index (within the block) of `lane`.
-    pub fn tid_of_lane(&self, lane: usize, warp_size: usize) -> u32 {
-        (self.warp_in_block * warp_size + lane) as u32
-    }
 }
 
 #[cfg(test)]
@@ -85,7 +79,7 @@ mod tests {
 
     #[test]
     fn full_warp_mask() {
-        let w = WarpState::new(0, 0, 0, 32, 0);
+        let w = WarpState::new(0, 0, 0, u32::MAX, 0);
         assert_eq!(w.full_mask, u32::MAX);
         assert!(!w.is_divergent());
         assert!(!w.is_done());
@@ -93,7 +87,7 @@ mod tests {
 
     #[test]
     fn partial_warp_mask() {
-        let w = WarpState::new(0, 0, 1, 8, 0);
+        let w = WarpState::new(0, 0, 1, 0xFF, 0);
         assert_eq!(w.full_mask, 0xFF);
         // A partial warp running all its threads is not divergent.
         assert!(!w.is_divergent());
@@ -101,31 +95,19 @@ mod tests {
 
     #[test]
     fn divergence_detection() {
-        let mut w = WarpState::new(0, 0, 0, 4, 0);
+        let mut w = WarpState::new(0, 0, 0, 0xF, 0);
         w.stack.branch(0x3, 5, 9);
         assert!(w.is_divergent());
     }
 
     #[test]
-    fn tid_mapping() {
-        let w = WarpState::new(0, 2, 3, 32, 0);
-        assert_eq!(w.tid_of_lane(5, 32), 3 * 32 + 5);
-    }
-
-    #[test]
     fn drained_requires_no_inflight() {
-        let mut w = WarpState::new(0, 0, 0, 1, 0);
+        let mut w = WarpState::new(0, 0, 0, 0x1, 0);
         w.inflight = 1;
         w.stack.exit_threads();
         assert!(w.is_done());
         assert!(!w.is_drained());
         w.inflight = 0;
         assert!(w.is_drained());
-    }
-
-    #[test]
-    #[should_panic(expected = "1..=32 threads")]
-    fn oversized_warp_rejected() {
-        let _ = WarpState::new(0, 0, 0, 33, 0);
     }
 }
