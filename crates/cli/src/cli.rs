@@ -178,20 +178,21 @@ USAGE:
   wcsim fuzz [--cases N] [--seed S] [--budget CYCLES]
              [--resume DIR] [--out FILE] [--repro DIR]
                                      differential kernel fuzzing: seeded
-                                     testgen kernels through dynamic vs
-                                     scheduled replay, absint, perfbound
-                                     and the panic/watchdog harness; any
-                                     finding is shrunk to a reproducer
-                                     under --repro and fails the run
+                                     testgen kernels through the perf,
+                                     predict, mem and schedule gates'
+                                     joins and the panic/watchdog
+                                     harness; any finding is shrunk to
+                                     a reproducer under --repro and
+                                     fails the run
                                      (defaults: 300 cases, seed 42, out:
                                      results/BENCH_fuzz.json; also runs
                                      the mutation smoke test)
   wcsim perf <workload|--all> [--design D] [--out FILE]
-                                     static cycle/bank/energy lower
-                                     bounds validated against the
-                                     simulator; fails if any measurement
-                                     beats a static bound (default out:
-                                     results/BENCH_perf.json)
+                                     static cycle/bank/energy/
+                                     instruction lower bounds validated
+                                     against the simulator; fails if any
+                                     measurement beats a static bound
+                                     (default out: results/BENCH_perf.json)
   wcsim schedule <workload|--all> [--design D] [--out FILE]
                                      compile a static issue plan, replay
                                      it with the scoreboard bypassed and
@@ -574,16 +575,9 @@ pub fn run_cli(cmd: &Command, out: &mut dyn fmt::Write) -> Result<(), Box<dyn Er
             let mut rows = Vec::new();
             let mut entries = Vec::new();
             for w in &workloads {
-                let launch = w.launch();
-                let image = std::sync::Arc::new(w.fresh_memory().words().to_vec());
-                let info = simt_analysis::LaunchInfo {
-                    params: launch.params().to_vec(),
-                    blocks: u32::try_from(launch.blocks()).ok(),
-                    threads_per_block: u32::try_from(launch.threads_per_block()).ok(),
-                    mem_words: u64::try_from(image.len()).ok(),
-                    initial_mem: Some(image),
-                };
-                let analysis = simt_analysis::analyze_with_launch(w.kernel(), Some(&info));
+                let facts =
+                    warped_compression::LaunchFacts::new(w.launch(), &w.fresh_memory(), true);
+                let analysis = simt_analysis::analyze_with_launch(w.kernel(), Some(&facts.info));
                 for d in &analysis.report.diagnostics {
                     writeln!(out, "{}: {d}", w.name())?;
                 }
@@ -642,9 +636,7 @@ pub fn run_cli(cmd: &Command, out: &mut dyn fmt::Write) -> Result<(), Box<dyn Er
             let workloads = resolve_workloads(workload.as_deref())?;
             let reports = warped_compression::predict_suite(&workloads)?;
             let mut rows = Vec::new();
-            let mut unsound_total = 0usize;
             for r in &reports {
-                unsound_total += r.unsound_count();
                 rows.push(vec![
                     r.kernel.clone(),
                     r.sites.len().to_string(),
@@ -683,17 +675,14 @@ pub fn run_cli(cmd: &Command, out: &mut dyn fmt::Write) -> Result<(), Box<dyn Er
             write_report(&out_path, &wc_bench::analysis_json::predict_json(&reports))?;
             writeln!(out, "report written to {out_path}")?;
             // The CI gate: the abstract domain must never under-predict
-            // a stored footprint.
-            if unsound_total > 0 {
+            // a stored footprint or the gateable-bank bound.
+            if let Some(r) = reports.iter().find(|r| !r.is_sound()) {
                 return Err(format!(
-                    "{unsound_total} write site(s) stored a larger form than statically predicted"
+                    "kernel `{}` beat its static prediction: {}",
+                    r.kernel,
+                    r.violations().join("; ")
                 )
                 .into());
-            }
-            if let Some(r) = reports.iter().find(|r| !r.is_sound()) {
-                return Err(
-                    format!("kernel `{}` broke the static gateable-bank bound", r.kernel).into(),
-                );
             }
         }
         Command::Compare { workload } => {
@@ -1020,11 +1009,10 @@ pub fn run_cli(cmd: &Command, out: &mut dyn fmt::Write) -> Result<(), Box<dyn Er
             writeln!(out, "report written to {out_path}")?;
             // The CI gate: no measurement may beat a static lower bound.
             if let Some(r) = reports.iter().find(|r| !r.is_sound()) {
-                let sites = r.unsound_sites();
                 return Err(format!(
-                    "kernel `{}` beat a static lower bound ({} unsound conflict site(s))",
+                    "kernel `{}` beat a static lower bound: {}",
                     r.kernel,
-                    sites.len()
+                    r.violations().join("; ")
                 )
                 .into());
             }

@@ -76,13 +76,19 @@ pub fn run_suite(cfg: &GpuConfig, workloads: &[Workload]) -> Result<Vec<RunOutpu
 /// sweeps reuse one simulation per design point: activity counts do not
 /// change when only energy constants change.
 pub fn energy_of(stats: &SimStats, params: &EnergyParams) -> EnergyReport {
-    let activity = ActivityCounts::from_regfile_with_mode(
+    EnergyModel::new(*params).evaluate(&activity_of(stats))
+}
+
+/// The activity counts the energy model prices for a finished run:
+/// bank traffic, gated bank-cycles under the run's low-power mode, and
+/// compression-unit activations.
+pub(crate) fn activity_of(stats: &SimStats) -> ActivityCounts {
+    ActivityCounts::from_regfile_with_mode(
         &stats.regfile,
         stats.compressor_activations,
         stats.decompressor_activations,
         stats.gating.into(),
-    );
-    EnergyModel::new(*params).evaluate(&activity)
+    )
 }
 
 #[cfg(test)]

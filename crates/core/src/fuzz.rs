@@ -1,40 +1,36 @@
 //! Differential kernel fuzzer with crash triage and automatic
 //! shrinking (feature `fuzz`).
 //!
-//! Every soundness gate in this repo — bit-identical scheduled replay,
-//! absint compressibility predictions, perfbound cycle floors, the
-//! sanitize hazard oracle — is stated over the 18 curated workloads.
-//! This module re-states them over *arbitrary* kernels: a seeded
-//! generator draws [`gpu_workloads::testgen`] shapes (straight-line,
-//! counted loops, loop nests, data- and lane-divergence, value
-//! patterns, in-warp memory aliasing) and [`check_case`] drives each
-//! one through every backend pair:
+//! The soundness gates state their claims over the 18 curated
+//! workloads; this module re-states them over *arbitrary* kernels. A
+//! seeded generator draws [`gpu_workloads::testgen`] shapes
+//! (straight-line, counted loops, loop nests, data- and
+//! lane-divergence, value patterns, in-warp memory aliasing,
+//! memory-loaded trip counts), and [`check_case`] checks each through
+//! the gates' own joins. It computes every static claim once, runs
+//! warped-compression once with every [`gpu_sim::Probes`] hook armed,
+//! baseline once with the memory probe and the static plan's replay
+//! once, then reads the gate reports in this order:
 //!
-//! 1. **dynamic vs scheduled** — when the static scheduler closes the
-//!    kernel, the replayed plan must match the dynamic core bit for bit
-//!    (registers and memory), beat no perfbound floor, and stay within
-//!    [`schedule_slack`](crate::schedule::schedule_slack) of the
-//!    dynamic runtime; a scheduler bail is a benign dynamic fallback,
-//!    mirroring [`ScheduleMode::DynamicFallback`](crate::schedule::ScheduleMode),
-//! 2. **absint vs trace** — no traced write may exceed its statically
-//!    predicted bank footprint,
-//! 3. **perfbound vs measurement** — the dynamic run may not beat the
-//!    static cycle or instruction floor,
-//! 4. **panic freedom** — any panic (including a `sanitize:` oracle
-//!    assertion) is caught via [`catch_panic`] and triaged, never
-//!    propagated,
-//! 5. **watchdog** — the simulator's `max_cycles` is clamped to the
+//! 1. **perfbound** (`perf_join`) — the run beats no cycle,
+//!    bank-access, energy, instruction or per-site stall floor,
+//! 2. **absint** (`predict_join`) — no traced write exceeds its
+//!    site's predicted class, and the gateable-bank bound holds,
+//! 3. **memabs and memcell** (`mem_join`, under *both* baseline and
+//!    warped-compression) — every traced address lies in its site's
+//!    per-warp abstract set and every refined load's value in its
+//!    abstract value, no transaction floor is undercut, and the
+//!    cross-warp race verdict survives the trace (the `aliased_mem`
+//!    and `lane_split` shapes drive warps onto shared words),
+//! 4. **scheduled replay** (`schedule_join`) — when the scheduler
+//!    closes the kernel, the replay matches the dynamic core bit for
+//!    bit (registers and memory), beats no floor and stays within
+//!    slack; a bail is a benign fallback, as in `wcsim schedule`,
+//! 5. **panic freedom** — any panic (including a `sanitize:` oracle
+//!    assertion) is caught via [`catch_panic`] and triaged,
+//! 6. **watchdog** — the simulator's `max_cycles` is clamped to the
 //!    case budget, so a runaway kernel reports
-//!    [`FindingCategory::Timeout`] deterministically,
-//! 6. **memabs vs traced addresses** — every traced memory access
-//!    (per-access [`gpu_sim::MemEvent`]s, collected under *both* the
-//!    baseline and warped-compression design points) must land inside
-//!    its site's per-warp abstract address set, and the cross-warp
-//!    race verdict must survive the trace: no conflict under a
-//!    `race_free` claim, and every traced conflicting pair listed
-//!    when races were predicted. The `aliased_mem` and `lane_split`
-//!    shapes are what drive warps onto overlapping addresses, so they
-//!    exercise the race detector directly.
+//!    [`FindingCategory::Timeout`] deterministically.
 //!
 //! Any disagreement is classified into a typed [`Finding`] and the
 //! offending case is delta-debug **shrunk** ([`shrink_case`]): first
@@ -45,26 +41,30 @@
 //! ([`render_reproducer`]).
 //!
 //! The fuzzer validates itself with [`mutation_smoke`]: one deliberate
-//! bug injection per finding category (a flipped hazard window, an
-//! off-by-one bank footprint, a corrupted replay register, …) must be
-//! caught, classified and shrunk — proving every detector actually
-//! fires.
+//! bug injection per finding category must be caught, classified and
+//! shrunk — proving every detector actually fires. A mutation only
+//! perturbs what a join is fed (a static claim, an observed event, the
+//! replayed plan or registers, the budget or the memory size), never a
+//! report's verdict, so the smoke test exercises the gates' own
+//! comparisons.
 
-use std::collections::HashMap;
+use std::borrow::Borrow;
 
-use gpu_sim::{GlobalMemory, GpuSim, LaunchConfig, MemEvent, SimError};
+use gpu_sim::{
+    FinalRegs, GlobalMemory, GpuSim, LaunchConfig, MemEvent, Probes, SimError, WriteEvent,
+};
 use gpu_workloads::testgen;
 use rand::prelude::{Rng, SeedableRng, StdRng};
-use simt_analysis::{
-    analyze_mem, analyze_with_launch, bound_kernel, schedule_kernel, Cfg, IssuePlan, LaunchInfo,
-    MemAbs, PerfLaunch,
-};
+use simt_analysis::{analyze_with_launch, bound_kernel, schedule_kernel, IssuePlan};
 use simt_isa::{to_asm, Instruction, Kernel, Operand};
 
 use crate::design::DesignPoint;
-use crate::perfbound::perf_machine;
+use crate::launch::LaunchFacts;
+use crate::mem::{mem_join, MemClaim, MemTally};
+use crate::perfbound::{perf_join, perf_machine};
+use crate::predict::{predict_join, WriteTally};
 use crate::resilient::catch_panic;
-use crate::schedule::schedule_slack;
+use crate::schedule::{schedule_join, RunOutcome, ScheduleClaim};
 
 /// Default per-case cycle watchdog: far above anything the bounded
 /// generator can legitimately produce, far below "hung".
@@ -96,10 +96,11 @@ pub enum Mutation {
     CorruptReplayMemory,
     /// Raise the static cycle floor above the measurement.
     RaiseCycleFloor,
-    /// Treat the schedule slack budget as zero.
+    /// Claim a schedule slack budget of zero.
     ZeroSlack,
-    /// Lower one write site's predicted bank footprint below the
-    /// traced measurement.
+    /// Make one write site's prediction fall short of the trace: the
+    /// first traced write at a site predicted compressible is observed
+    /// as uncompressed.
     ShrinkBankPrediction,
     /// Knock the first traced memory access's addresses out of their
     /// site's abstract address set — the memabs containment join must
@@ -351,17 +352,12 @@ impl FuzzCase {
         LaunchConfig::new(self.blocks, self.threads_per_block)
     }
 
-    /// The case's full initial-memory image at the given size: the
-    /// init words truncated or zero-padded to `mem_words`.
-    fn image(&self, mem_words: usize) -> Vec<u32> {
+    /// Fresh global memory of `mem_words` words holding the case's
+    /// initial image: the init words truncated or zero-padded.
+    fn memory(&self, mem_words: usize) -> GlobalMemory {
         let mut image = self.init_words.clone();
         image.resize(mem_words, 0);
-        image
-    }
-
-    /// Fresh global memory holding the case's initial image.
-    fn memory(&self, mem_words: usize) -> GlobalMemory {
-        GlobalMemory::from_words(self.image(mem_words))
+        GlobalMemory::from_words(image)
     }
 }
 
@@ -398,15 +394,10 @@ fn sim_finding(err: SimError, stage: &str) -> Finding {
 
 /// Flips the lowest bit of the first register lane of the scheduled
 /// replay's captured state (the `CorruptReplayMemory` smoke mutation).
-fn corrupt_final_regs(regs: &mut gpu_sim::FinalRegs) -> bool {
-    if let Some(warp) = regs.values_mut().next() {
-        if let Some(reg) = warp.first_mut() {
-            let v = reg.lane(0);
-            reg.set_lane(0, v ^ 1);
-            return true;
-        }
+fn corrupt_final_regs(regs: &mut FinalRegs) {
+    if let Some(reg) = regs.values_mut().next().and_then(|warp| warp.first_mut()) {
+        reg.set_lane(0, reg.lane(0) ^ 1);
     }
-    false
 }
 
 /// Bumps the issue cycle of the first dispatching planned step (the
@@ -425,125 +416,31 @@ fn flip_hazard_window(plan: &mut IssuePlan) -> bool {
     false
 }
 
-/// One warp's traced touch of one word, for the fuzzer's race join.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Touch {
-    warp: (usize, usize),
-    pc: usize,
-    is_store: bool,
+/// Knocks every lane's address of a traced access far outside any
+/// bounded abstract set (the `ShrinkAddressSet` smoke mutation).
+fn knock_out(event: &mut MemEvent) {
+    event.addrs.iter_mut().for_each(|addr| *addr ^= 0x4000_0000);
 }
 
-/// The memabs-vs-trace oracle: re-runs the case under `sim` with
-/// per-access tracing and joins every [`MemEvent`] against the static
-/// address abstraction — containment of every active lane's address in
-/// its site's per-warp abstract set, and the cross-warp race verdict
-/// against the conflicts the trace actually produced. The
-/// `ShrinkAddressSet` mutation knocks the first traced access's
-/// addresses far outside any bounded abstract set, which this join
-/// must catch.
-fn memabs_join(
-    case: &FuzzCase,
-    mem_words: usize,
-    mem: &MemAbs,
-    sim: &GpuSim,
-    design: &str,
-    mutation: Option<Mutation>,
+/// A simulator for `design` whose watchdog is clamped to `budget`.
+fn capped(design: DesignPoint, budget: u64) -> GpuSim {
+    let mut cfg = design.config();
+    cfg.max_cycles = cfg.max_cycles.min(budget);
+    GpuSim::new(cfg)
+}
+
+/// A gate report's verdict: sound when it lists no violation, else a
+/// finding of `category` detailed by the report's own labels.
+fn verdict<S: Borrow<str>>(
+    category: FindingCategory,
+    stage: &str,
+    violations: Vec<S>,
 ) -> Result<(), Finding> {
-    let mut events: Vec<MemEvent> = Vec::new();
-    let mut memory = case.memory(mem_words);
-    sim.run_mem_observed(&case.kernel, &case.launch(), &mut memory, &mut |e| {
-        events.push(*e);
-    })
-    .map_err(|e| sim_finding(e, &format!("{design} mem-traced run")))?;
-
-    let mut inject = mutation == Some(Mutation::ShrinkAddressSet);
-    let mut touches: HashMap<u32, Vec<Touch>> = HashMap::new();
-    for event in &mut events {
-        if inject && event.mask != 0 {
-            for addr in &mut event.addrs {
-                *addr ^= 0x4000_0000;
-            }
-            inject = false;
-        }
-        let Some(site) = mem.site_index(event.pc) else {
-            return Err(finding(
-                FindingCategory::MemabsUnsound,
-                format!(
-                    "{design}: traced access at statically-unreachable pc {}",
-                    event.pc
-                ),
-            ));
-        };
-        let contained = match mem.address_for(
-            site,
-            u32::try_from(event.block).unwrap_or(u32::MAX),
-            u32::try_from(event.warp_in_block).unwrap_or(u32::MAX),
-        ) {
-            None => false,
-            Some(abs) => abs.contains_masked(&event.addrs, event.mask),
-        };
-        if !contained {
-            return Err(finding(
-                FindingCategory::MemabsUnsound,
-                format!(
-                    "{design}: traced address escaped the abstract set at pc {}",
-                    event.pc
-                ),
-            ));
-        }
-        for (_, addr) in event.active_addrs() {
-            let touch = Touch {
-                warp: (event.block, event.warp_in_block),
-                pc: event.pc,
-                is_store: event.is_store,
-            };
-            let slot = touches.entry(addr).or_default();
-            if !slot.contains(&touch) {
-                slot.push(touch);
-            }
-        }
-    }
-
-    let Some(race_free) = mem.race_free else {
+    if violations.is_empty() {
         return Ok(());
-    };
-    for accessors in touches.values() {
-        for a in accessors {
-            if !a.is_store {
-                continue;
-            }
-            for b in accessors {
-                if a.warp == b.warp {
-                    continue;
-                }
-                if race_free {
-                    return Err(finding(
-                        FindingCategory::MemabsUnsound,
-                        format!(
-                            "{design}: traced cross-warp conflict @{} vs @{} under a \
-                             race-free verdict",
-                            a.pc, b.pc
-                        ),
-                    ));
-                }
-                if !mem
-                    .races
-                    .iter()
-                    .any(|r| r.store_pc == a.pc && r.other_pc == b.pc)
-                {
-                    return Err(finding(
-                        FindingCategory::MemabsUnsound,
-                        format!(
-                            "{design}: traced cross-warp conflict @{} vs @{} missing from \
-                             the static race list",
-                            a.pc, b.pc
-                        ),
-                    ));
-                }
-            }
-        }
     }
-    Ok(())
+    let detail = format!("{stage}: {}", violations.join("; "));
+    Err(finding(category, detail))
 }
 
 /// Runs every differential check on one case. `mutation` injects one
@@ -575,199 +472,159 @@ fn run_checks(
     cycle_budget: u64,
     mutation: Option<Mutation>,
 ) -> Result<CaseStats, Finding> {
-    match mutation {
-        Some(Mutation::InjectPanic) => panic!("fuzz: injected panic (mutation smoke test)"),
-        Some(Mutation::InjectSanitizePanic) => {
-            panic!("sanitize: injected hazard-oracle violation (mutation smoke test)")
-        }
-        _ => {}
+    use bdi::CompressionClass::Uncompressed;
+    use FindingCategory::*;
+    let mutated = |m| mutation == Some(m);
+    if mutated(Mutation::InjectPanic) {
+        panic!("fuzz: injected panic (mutation smoke test)");
     }
-    let budget = if mutation == Some(Mutation::StarveWatchdog) {
+    if mutated(Mutation::InjectSanitizePanic) {
+        panic!("sanitize: injected hazard-oracle violation (mutation smoke test)");
+    }
+    let budget = if mutated(Mutation::StarveWatchdog) {
         1
     } else {
         cycle_budget
     };
-    let mem_words = if mutation == Some(Mutation::ShrinkMemory) {
+    let mem_words = if mutated(Mutation::ShrinkMemory) {
         0
     } else {
         case.mem_words
     };
-    let mut cfg = DesignPoint::WarpedCompression.config();
-    cfg.max_cycles = cfg.max_cycles.min(budget);
-    let kernel = &case.kernel;
-    let launch = case.launch();
-    let machine = perf_machine(&cfg);
-    let image = std::sync::Arc::new(case.image(mem_words));
-    let perf_launch = PerfLaunch::new(case.blocks, case.threads_per_block)
-        .with_memory(std::sync::Arc::clone(&image));
-    let sim = GpuSim::new(cfg);
+    let (kernel, name, launch) = (&case.kernel, case.kernel.name(), case.launch());
+    let memory = case.memory(mem_words);
+    let facts = LaunchFacts::new(&launch, &memory, true);
+    let wc = capped(DesignPoint::WarpedCompression, budget);
+    let machine = perf_machine(wc.config());
 
-    // Static predictions first: they must exist however the run ends.
-    let bound = bound_kernel(kernel, &perf_launch, &machine);
-    let mut floor = bound.cycle_lower_bound;
-    let info = LaunchInfo {
-        params: Vec::new(),
-        blocks: u32::try_from(case.blocks).ok(),
-        threads_per_block: u32::try_from(case.threads_per_block).ok(),
-        mem_words: u64::try_from(mem_words).ok(),
-        initial_mem: Some(image),
+    // 1. The claims the probes need come before the run; the others
+    // follow once it has succeeded, so a shrink candidate that times
+    // out never pays for them. Each is computed once.
+    let mut bound = bound_kernel(kernel, &facts.perf, &machine);
+    let prediction = analyze_with_launch(kernel, Some(&facts.info)).prediction;
+
+    // 2. One warped-compression run with every probe armed.
+    let mut writes = WriteTally::new(kernel.len());
+    let mut inflate = mutated(Mutation::ShrinkBankPrediction);
+    let compressible = |pc| {
+        let site = prediction.as_ref().and_then(|p| p.site_at(pc));
+        site.is_some_and(|s| s.class != Uncompressed)
     };
-    let prediction = analyze_with_launch(kernel, Some(&info)).prediction;
-
-    // Dynamic reference run, traced for per-site write classes.
-    let mut worst: Vec<Option<usize>> = vec![None; kernel.len()];
-    let mut dyn_mem = case.memory(mem_words);
-    let mut observer = |event: &gpu_sim::WriteEvent| {
-        if !event.synthetic {
-            let banks = event.class.banks();
-            let slot = &mut worst[event.pc];
-            *slot = Some(slot.map_or(banks, |b: usize| b.max(banks)));
+    let mut on_write = |event: &WriteEvent| {
+        if inflate && !event.synthetic && compressible(event.pc) {
+            inflate = false;
+            let class = Uncompressed;
+            writes.record(&WriteEvent { class, ..*event });
+        } else {
+            writes.record(event);
         }
     };
-    let dyn_result = sim
-        .run_observed(kernel, &launch, &mut dyn_mem, &mut observer)
+    let mut events: Vec<MemEvent> = Vec::new();
+    let mut dyn_mem = memory.clone();
+    let mut probes = Probes {
+        writes: Some(&mut on_write),
+        mem: Some(&mut |event| events.push(*event)),
+        final_regs: Some(FinalRegs::new()),
+    };
+    let run = wc
+        .run_with(kernel, &launch, &mut dyn_mem, &mut probes)
         .map_err(|e| sim_finding(e, "dynamic run"))?;
-    let dynamic_cycles = dyn_result.stats.cycles;
+    let dyn_regs = probes.final_regs.take().unwrap_or_default();
+    let stats = &run.stats;
 
-    if mutation == Some(Mutation::RaiseCycleFloor) {
-        floor = dynamic_cycles + 1;
+    if mutated(Mutation::RaiseCycleFloor) {
+        bound.cycle_lower_bound = stats.cycles + 1;
     }
-    if dynamic_cycles < floor {
-        return Err(finding(
-            FindingCategory::FloorViolation,
-            format!("dynamic run took {dynamic_cycles} cycles, below the static floor {floor}"),
-        ));
+    let perf = perf_join(name, DesignPoint::WarpedCompression, bound, stats);
+    verdict(FloorViolation, "dynamic run", perf.violations())?;
+    if let Some(prediction) = prediction {
+        let report = predict_join(name, prediction, &writes);
+        verdict(AbsintUnsound, "dynamic run", report.violations())?;
     }
-    if dyn_result.stats.instructions < bound.min_instructions {
-        return Err(finding(
-            FindingCategory::FloorViolation,
-            format!(
-                "dynamic run issued {} instructions, below the static floor {}",
-                dyn_result.stats.instructions, bound.min_instructions
-            ),
-        ));
-    }
-
-    // Absint join: no traced write may exceed its predicted footprint.
-    if let Some(prediction) = &prediction {
-        let mut mutated = mutation == Some(Mutation::ShrinkBankPrediction);
-        for site in &prediction.sites {
-            let Some(measured) = worst.get(site.pc).copied().flatten() else {
-                continue;
-            };
-            let mut predicted = site.class.banks();
-            if mutated && measured >= 1 {
-                predicted = measured - 1;
-                mutated = false;
-            }
-            if measured > predicted {
-                return Err(finding(
-                    FindingCategory::AbsintUnsound,
-                    format!(
-                        "write site pc {} r{} measured {measured} banks, predicted {predicted}",
-                        site.pc, site.reg
-                    ),
-                ));
-            }
+    let mem_claim = MemClaim::new(kernel, &facts.info);
+    if mutated(Mutation::ShrinkAddressSet) {
+        if let Some(event) = events.iter_mut().find(|e| e.mask != 0) {
+            knock_out(event);
         }
     }
-
-    // Memabs join, under BOTH design points: addresses and the
-    // coalescer are design-independent, so the abstract address sets
-    // and the race verdict must survive the trace of each.
-    let mem_cfg = Cfg::build(kernel.instrs());
-    let memabs = analyze_mem(
-        kernel.name(),
-        kernel.instrs(),
-        kernel.num_regs(),
-        &mem_cfg,
-        Some(&info),
-    );
-    memabs_join(
-        case,
-        mem_words,
-        &memabs,
-        &sim,
+    let mut accesses = MemTally::default();
+    events.iter().for_each(|e| accesses.record(&mem_claim, e));
+    let residency = wc.max_resident_warps(kernel);
+    let plan = schedule_kernel(kernel, &facts.perf, &machine, residency);
+    let mut sched_claim = ScheduleClaim::new(perf.prediction.cycle_lower_bound, plan);
+    if mutated(Mutation::ZeroSlack) {
+        sched_claim.slack = |_| 0;
+    }
+    let mem_violations = |accesses: &MemTally, stats| {
+        let plan = &sched_claim.plan;
+        mem_join(name, &mem_claim, accesses, stats, &perf.prediction, plan).violations()
+    };
+    verdict(
+        MemabsUnsound,
         "warped-compression",
-        mutation,
+        mem_violations(&accesses, stats),
     )?;
-    let mut base_cfg = DesignPoint::Baseline.config();
-    base_cfg.max_cycles = base_cfg.max_cycles.min(budget);
-    let base_sim = GpuSim::new(base_cfg);
-    memabs_join(case, mem_words, &memabs, &base_sim, "baseline", mutation)?;
 
-    // Bit-identity vs the scheduled replay (a scheduler bail is a
-    // benign dynamic fallback, exactly like `wcsim schedule`).
-    let mut static_close = false;
-    let mut cap_mem = case.memory(mem_words);
-    let (_, dyn_regs) = sim
-        .run_capturing(kernel, &launch, &mut cap_mem)
-        .map_err(|e| sim_finding(e, "dynamic capture run"))?;
-    let residency = sim.max_resident_warps(kernel);
-    if let Ok(mut plan) = schedule_kernel(kernel, &perf_launch, &machine, residency) {
-        if mutation == Some(Mutation::FlipHazardWindow) && !flip_hazard_window(&mut plan) {
+    // 3. One baseline run with the memory probe: addresses and the
+    // coalescer are design-independent, so the memory claim must
+    // survive its trace too.
+    let mut base_accesses = MemTally::default();
+    let base = capped(DesignPoint::Baseline, budget)
+        .run_mem_observed(kernel, &launch, &mut memory.clone(), &mut |e| {
+            base_accesses.record(&mem_claim, e);
+        })
+        .map_err(|e| sim_finding(e, "baseline run"))?;
+    verdict(
+        MemabsUnsound,
+        "baseline",
+        mem_violations(&base_accesses, &base.stats),
+    )?;
+
+    // 4. One scheduled replay (a scheduler bail is a benign dynamic
+    // fallback, exactly like `wcsim schedule`).
+    let case_stats = |static_close| CaseStats {
+        dynamic_cycles: stats.cycles,
+        instructions: stats.instructions,
+        static_close,
+    };
+    let mut replayed = None;
+    if let Ok(plan) = &mut sched_claim.plan {
+        if mutated(Mutation::FlipHazardWindow) && !flip_hazard_window(plan) {
             // No dispatching step to perturb: the smoke scan moves on.
-            return Ok(CaseStats {
-                dynamic_cycles,
-                instructions: dyn_result.stats.instructions,
-                static_close: false,
-            });
+            return Ok(case_stats(false));
         }
-        let mut sched_mem = case.memory(mem_words);
-        let sched = match sim.run_scheduled(kernel, &plan, &launch, &mut sched_mem) {
+        let mut sched_mem = memory;
+        let mut sched = match wc.run_scheduled(kernel, plan, &launch, &mut sched_mem) {
             Ok(sched) => sched,
-            Err(err @ SimError::Plan { .. }) => {
-                return Err(finding(FindingCategory::PlanRejected, err.to_string()));
-            }
+            Err(err @ SimError::Plan { .. }) => return Err(finding(PlanRejected, err.to_string())),
             Err(e) => return Err(sim_finding(e, "scheduled replay")),
         };
-        static_close = true;
-        let mut sched_regs = sched.final_regs;
-        if mutation == Some(Mutation::CorruptReplayMemory) {
-            corrupt_final_regs(&mut sched_regs);
+        if mutated(Mutation::CorruptReplayMemory) {
+            corrupt_final_regs(&mut sched.final_regs);
         }
-        if sched_regs != dyn_regs {
-            return Err(finding(
-                FindingCategory::ScheduleMismatch,
-                "scheduled replay's final registers differ from the dynamic core",
-            ));
-        }
-        if sched_mem != cap_mem {
-            return Err(finding(
-                FindingCategory::ScheduleMismatch,
-                "scheduled replay's global memory differs from the dynamic core",
-            ));
-        }
-        if sched.stats.cycles < floor {
-            return Err(finding(
-                FindingCategory::FloorViolation,
-                format!(
-                    "scheduled replay took {} cycles, below the static floor {floor}",
-                    sched.stats.cycles
-                ),
-            ));
-        }
-        let slack = if mutation == Some(Mutation::ZeroSlack) {
-            0
-        } else {
-            schedule_slack(dynamic_cycles)
-        };
-        if sched.stats.cycles > dynamic_cycles + slack {
-            return Err(finding(
-                FindingCategory::SlackViolation,
-                format!(
-                    "scheduled replay took {} cycles, dynamic {dynamic_cycles} + slack {slack}",
-                    sched.stats.cycles
-                ),
-            ));
-        }
+        replayed = Some((sched, sched_mem));
     }
-
-    Ok(CaseStats {
-        dynamic_cycles,
-        instructions: dyn_result.stats.instructions,
-        static_close,
-    })
+    let dynamic = RunOutcome {
+        stats,
+        regs: &dyn_regs,
+        memory: &dyn_mem,
+    };
+    let replay = replayed.as_ref().map(|(sched, sched_mem)| RunOutcome {
+        stats: &sched.stats,
+        regs: &sched.final_regs,
+        memory: sched_mem,
+    });
+    let design = DesignPoint::WarpedCompression;
+    let report = schedule_join(name, design, &sched_claim, dynamic, replay);
+    let category = if !(report.registers_match && report.memory_matches) {
+        ScheduleMismatch
+    } else if !report.floor_holds() {
+        FloorViolation
+    } else {
+        SlackViolation
+    };
+    verdict(category, "scheduled replay", report.violations())?;
+    Ok(case_stats(replayed.is_some()))
 }
 
 /// Whether `case` still produces a finding of the given category under
@@ -1289,21 +1146,8 @@ mod tests {
         let mut isolated = 0;
         for index in 0..120 {
             let case = FuzzCase::generate(42, index);
-            let info = LaunchInfo {
-                params: Vec::new(),
-                blocks: u32::try_from(case.blocks).ok(),
-                threads_per_block: u32::try_from(case.threads_per_block).ok(),
-                mem_words: u64::try_from(case.mem_words).ok(),
-                initial_mem: None,
-            };
-            let cfg = Cfg::build(case.kernel.instrs());
-            let mem = analyze_mem(
-                case.kernel.name(),
-                case.kernel.instrs(),
-                case.kernel.num_regs(),
-                &cfg,
-                Some(&info),
-            );
+            let facts = LaunchFacts::new(&case.launch(), &case.memory(case.mem_words), false);
+            let mem = MemClaim::new(&case.kernel, &facts.info).mem;
             match mem.race_free {
                 Some(false) if !mem.races.is_empty() => raced += 1,
                 Some(true) => isolated += 1,

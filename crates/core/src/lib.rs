@@ -19,7 +19,11 @@
 //!   point and returns everything the figures need, plus [`energy_of`]
 //!   to price a finished run under any [`gpu_power::EnergyParams`]
 //!   (the Fig. 17–19 sensitivity sweeps re-price stored runs instead of
-//!   re-simulating).
+//!   re-simulating),
+//! * the soundness gates [`predict`], [`perfbound`], [`schedule`] and
+//!   [`mem`] — each a static claim over one [`LaunchFacts`] and one join
+//!   against what a probed run observed, which the differential fuzzer
+//!   (feature `fuzz`) shares.
 //!
 //! # Example
 //!
@@ -46,6 +50,7 @@ pub mod explorer;
 pub mod fault_campaign;
 #[cfg(feature = "fuzz")]
 pub mod fuzz;
+pub mod launch;
 pub mod mem;
 pub mod perfbound;
 pub mod predict;
@@ -67,6 +72,7 @@ pub use fuzz::{
     Finding, FindingCategory, FindingReport, FuzzCase, FuzzConfig, Mutation, SmokeOutcome,
     DEFAULT_CYCLE_BUDGET,
 };
+pub use launch::LaunchFacts;
 pub use mem::{mem_suite, mem_workload, MemReport, ScheduleCheck, SiteCheck, TracedConflict};
 pub use perfbound::{perf_machine, perf_suite, perf_workload, ConflictCheck, PerfReport};
 pub use predict::{

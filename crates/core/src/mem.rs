@@ -31,16 +31,18 @@
 
 use std::collections::BTreeMap;
 
-use gpu_sim::{GpuSim, MemEvent, SimError};
+use gpu_sim::{GpuSim, MemEvent, SimError, SimStats};
 use gpu_workloads::Workload;
 use rayon::prelude::*;
 use serde::Serialize;
 use simt_analysis::{
-    analyze_cells, analyze_mem, bound_kernel, schedule_kernel, Cfg, LaunchInfo, MemAbs, MemCells,
-    PerfLaunch, ScheduleBail,
+    analyze_cells, analyze_mem, bound_kernel, schedule_kernel, Cfg, IssuePlan, LaunchInfo, MemAbs,
+    MemCells, PerfPrediction, ScheduleBail,
 };
+use simt_isa::Kernel;
 
 use crate::design::DesignPoint;
+use crate::launch::LaunchFacts;
 use crate::perfbound::perf_machine;
 
 /// One static load/store site joined with its traced traffic.
@@ -146,15 +148,6 @@ impl MemReport {
         self.sites.iter().map(|s| s.escapes).sum()
     }
 
-    /// Sites whose measured traffic undercuts a perfbound floor.
-    pub fn floor_violations(&self) -> Vec<usize> {
-        self.sites
-            .iter()
-            .filter(|s| !s.floor_holds())
-            .map(|s| s.pc)
-            .collect()
-    }
-
     /// Traced conflicts the static race analysis failed to predict
     /// (every entry under `race_free == Some(true)`, the unpredicted
     /// ones under `Some(false)`; none can be charged when the verdict
@@ -177,11 +170,7 @@ impl MemReport {
     /// statically-unreachable pc, no traced conflict evaded the race
     /// verdict, and every transaction floor held.
     pub fn is_sound(&self) -> bool {
-        self.escape_count() == 0
-            && self.untracked_accesses == 0
-            && self.refined_value_escapes == 0
-            && self.missed_conflicts().is_empty()
-            && self.sites.iter().all(SiteCheck::floor_holds)
+        self.violations().is_empty()
     }
 
     /// Which soundness checks failed, as human-readable labels.
@@ -211,9 +200,10 @@ impl MemReport {
                 c.store_pc, c.other_pc
             ));
         }
-        for pc in self.floor_violations() {
+        for s in self.sites.iter().filter(|s| !s.floor_holds()) {
             v.push(format!(
-                "measured traffic at @{pc} undercuts its static floor"
+                "measured traffic at @{} undercuts its static floor",
+                s.pc
             ));
         }
         v
@@ -229,100 +219,194 @@ fn bail_name(bail: &ScheduleBail) -> &'static str {
     }
 }
 
+/// The static half of the memory gate for one launch: the per-site
+/// abstract address sets and race verdict, and the refined load values.
+#[derive(Clone, Debug)]
+pub(crate) struct MemClaim {
+    /// The address abstraction and cross-warp race verdict.
+    pub mem: MemAbs,
+    /// The abstract memory cells and the loads they refine.
+    pub cells: MemCells,
+}
+
+impl MemClaim {
+    /// Runs memabs and memcell over `kernel` under `info`.
+    pub(crate) fn new(kernel: &Kernel, info: &LaunchInfo) -> MemClaim {
+        let cfg = Cfg::build(kernel.instrs());
+        MemClaim {
+            mem: analyze_mem(
+                kernel.name(),
+                kernel.instrs(),
+                kernel.num_regs(),
+                &cfg,
+                Some(info),
+            ),
+            cells: analyze_cells(
+                kernel.name(),
+                kernel.instrs(),
+                usize::from(kernel.num_regs()),
+                &cfg,
+                Some(info),
+            ),
+        }
+    }
+}
+
 /// One warp's traced touch of one word: who, where, and whether it
 /// wrote. The race join collects these per address.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Touch {
     warp: (usize, usize),
     pc: usize,
     is_store: bool,
 }
 
-/// Joins one traced event against the static report: containment per
-/// active lane, the per-address touch map for the race join, and — for
-/// loads the memcell domain refined — γ-containment of every active
-/// lane's *loaded value* in the refined abstract value.
-fn join_event(
-    mem: &MemAbs,
-    cells: &MemCells,
-    event: &MemEvent,
-    escapes: &mut BTreeMap<usize, u64>,
-    value_escapes: &mut BTreeMap<usize, u64>,
-    untracked: &mut u64,
-    touches: &mut BTreeMap<u32, Vec<Touch>>,
-) {
-    if !event.is_store {
-        if let Some(refined) = cells.refined.get(&event.pc) {
-            if !refined.contains_masked(&event.values, event.mask) {
-                *value_escapes.entry(event.pc).or_default() += 1;
+/// What one run's memory probe observed, joined access by access
+/// against a [`MemClaim`]: address escapes and refined-value escapes per
+/// pc, accesses at statically-unreachable pcs, and every warp's touches
+/// per word for the race join.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct MemTally {
+    escapes: BTreeMap<usize, u64>,
+    value_escapes: BTreeMap<usize, u64>,
+    untracked: u64,
+    touches: BTreeMap<u32, Vec<Touch>>,
+}
+
+impl MemTally {
+    /// Joins one traced access (the memory probe's body): containment
+    /// of every active lane's address, the per-word touch, and — for
+    /// loads the memcell domain refined — γ-containment of every active
+    /// lane's loaded value in the refined abstract value.
+    pub(crate) fn record(&mut self, claim: &MemClaim, event: &MemEvent) {
+        if !event.is_store {
+            if let Some(refined) = claim.cells.refined.get(&event.pc) {
+                if !refined.contains_masked(&event.values, event.mask) {
+                    *self.value_escapes.entry(event.pc).or_default() += 1;
+                }
             }
         }
-    }
-    for (_, addr) in event.active_addrs() {
-        let touch = Touch {
-            warp: (event.block, event.warp_in_block),
-            pc: event.pc,
-            is_store: event.is_store,
+        for (_, addr) in event.active_addrs() {
+            let touch = Touch {
+                warp: (event.block, event.warp_in_block),
+                pc: event.pc,
+                is_store: event.is_store,
+            };
+            let slot = self.touches.entry(addr).or_default();
+            if !slot.contains(&touch) {
+                slot.push(touch);
+            }
+        }
+        let Some(site) = claim.mem.site_index(event.pc) else {
+            self.untracked += 1;
+            return;
         };
-        let slot = touches.entry(addr).or_default();
-        if !slot.contains(&touch) {
-            slot.push(touch);
+        let contained = match claim.mem.address_for(
+            site,
+            u32::try_from(event.block).unwrap_or(u32::MAX),
+            u32::try_from(event.warp_in_block).unwrap_or(u32::MAX),
+        ) {
+            // A per-warp `None` means the interpretation proved this warp
+            // never reaches the site — yet here is a traced access.
+            None => false,
+            Some(abs) => abs.contains_masked(&event.addrs, event.mask),
+        };
+        if !contained {
+            *self.escapes.entry(event.pc).or_default() += 1;
         }
     }
-    let Some(site) = mem.site_index(event.pc) else {
-        *untracked += 1;
-        return;
-    };
-    let contained = match mem.address_for(
-        site,
-        u32::try_from(event.block).unwrap_or(u32::MAX),
-        u32::try_from(event.warp_in_block).unwrap_or(u32::MAX),
-    ) {
-        // A per-warp `None` means the interpretation proved this warp
-        // never reaches the site — yet here is a traced access.
-        None => false,
-        Some(abs) => abs.contains_masked(&event.addrs, event.mask),
-    };
-    if !contained {
-        *escapes.entry(event.pc).or_default() += 1;
+
+    /// The deduped cross-warp conflicting pairs among the touches, each
+    /// marked against the static race list.
+    fn conflicts(&self, mem: &MemAbs) -> Vec<TracedConflict> {
+        let mut pairs: BTreeMap<(usize, usize, bool), bool> = BTreeMap::new();
+        for accessors in self.touches.values() {
+            for a in accessors {
+                if !a.is_store {
+                    continue;
+                }
+                for b in accessors {
+                    if a.warp == b.warp {
+                        continue;
+                    }
+                    let predicted = mem
+                        .races
+                        .iter()
+                        .any(|r| r.store_pc == a.pc && r.other_pc == b.pc);
+                    pairs
+                        .entry((a.pc, b.pc, b.is_store))
+                        .and_modify(|p| *p &= predicted)
+                        .or_insert(predicted);
+                }
+            }
+        }
+        pairs
+            .into_iter()
+            .map(
+                |((store_pc, other_pc, other_is_store), predicted)| TracedConflict {
+                    store_pc,
+                    other_pc,
+                    other_is_store,
+                    predicted,
+                },
+            )
+            .collect()
     }
 }
 
-/// Extracts the deduped cross-warp conflicting pairs from the
-/// per-address touch map and marks each against the static race list.
-fn traced_conflicts(mem: &MemAbs, touches: &BTreeMap<u32, Vec<Touch>>) -> Vec<TracedConflict> {
-    let mut pairs: BTreeMap<(usize, usize, bool), bool> = BTreeMap::new();
-    for accessors in touches.values() {
-        for a in accessors {
-            if !a.is_store {
-                continue;
+/// Joins a memory claim against what one run traced: the tally of its
+/// accesses, its per-pc traffic against the perfbound transaction
+/// floors in `floors`, and the scheduler's verdict `plan` for the
+/// attribution.
+pub(crate) fn mem_join(
+    kernel: &str,
+    claim: &MemClaim,
+    tally: &MemTally,
+    stats: &SimStats,
+    floors: &PerfPrediction,
+    plan: &Result<IssuePlan, ScheduleBail>,
+) -> MemReport {
+    let (mem, cells) = (&claim.mem, &claim.cells);
+    let sites = mem
+        .sites
+        .iter()
+        .map(|s| {
+            let traffic = stats.mem.at(s.pc);
+            let floor = floors.mem_floor_at(s.pc);
+            SiteCheck {
+                pc: s.pc,
+                is_store: s.is_store,
+                pattern: s.pattern.name().to_string(),
+                divergent: s.divergent,
+                accesses: traffic.accesses,
+                transactions: traffic.transactions,
+                escapes: tally.escapes.get(&s.pc).copied().unwrap_or(0),
+                min_transactions: floor.map_or(0, |f| f.min_transactions),
+                min_executions: floor.map_or(0, |f| f.min_executions),
             }
-            for b in accessors {
-                if a.warp == b.warp {
-                    continue;
-                }
-                let predicted = mem
-                    .races
-                    .iter()
-                    .any(|r| r.store_pc == a.pc && r.other_pc == b.pc);
-                pairs
-                    .entry((a.pc, b.pc, b.is_store))
-                    .and_modify(|p| *p &= predicted)
-                    .or_insert(predicted);
-            }
-        }
+        })
+        .collect();
+
+    let bail = plan.as_ref().err();
+    let schedule = ScheduleCheck {
+        static_mode: bail.is_none(),
+        bail: bail.map(|b| bail_name(b).to_string()),
+        bail_pc: bail.and_then(ScheduleBail::pc),
+        forwardable_loads: mem.forwardable.len(),
+        refined_loads: cells.refined.len(),
+    };
+
+    MemReport {
+        kernel: kernel.to_string(),
+        race_free: mem.race_free,
+        static_races: mem.races.len(),
+        sites,
+        untracked_accesses: tally.untracked,
+        refined_loads: cells.refined.len(),
+        refined_value_escapes: tally.value_escapes.values().sum(),
+        traced_conflicts: tally.conflicts(mem),
+        schedule,
     }
-    pairs
-        .into_iter()
-        .map(
-            |((store_pc, other_pc, other_is_store), predicted)| TracedConflict {
-                store_pc,
-                other_pc,
-                other_is_store,
-                predicted,
-            },
-        )
-        .collect()
 }
 
 /// Runs the static memory analysis and the traced simulation on one
@@ -341,107 +425,28 @@ fn traced_conflicts(mem: &MemAbs, touches: &BTreeMap<u32, Vec<Touch>>) -> Vec<Tr
 pub fn mem_workload(workload: &Workload) -> Result<MemReport, SimError> {
     let kernel = workload.kernel();
     let launch = workload.launch();
-    let image = std::sync::Arc::new(workload.fresh_memory().words().to_vec());
-    let info = LaunchInfo {
-        params: launch.params().to_vec(),
-        blocks: u32::try_from(launch.blocks()).ok(),
-        threads_per_block: u32::try_from(launch.threads_per_block()).ok(),
-        mem_words: u64::try_from(image.len()).ok(),
-        initial_mem: Some(std::sync::Arc::clone(&image)),
-    };
-    let cfg = Cfg::build(kernel.instrs());
-    let mem = analyze_mem(
-        kernel.name(),
-        kernel.instrs(),
-        kernel.num_regs(),
-        &cfg,
-        Some(&info),
-    );
-    let cells = analyze_cells(
-        kernel.name(),
-        kernel.instrs(),
-        usize::from(kernel.num_regs()),
-        &cfg,
-        Some(&info),
-    );
-
-    let perf_launch = PerfLaunch {
-        blocks: launch.blocks(),
-        threads_per_block: launch.threads_per_block(),
-        params: launch.params().to_vec(),
-        initial_mem: Some(std::sync::Arc::clone(&image)),
-    };
+    let mut memory = workload.fresh_memory();
+    let facts = LaunchFacts::new(launch, &memory, true);
+    let claim = MemClaim::new(kernel, &facts.info);
     let sim_cfg = DesignPoint::WarpedCompression.config();
     let machine = perf_machine(&sim_cfg);
-    let prediction = bound_kernel(kernel, &perf_launch, &machine);
+    let floors = bound_kernel(kernel, &facts.perf, &machine);
 
-    let mut escapes: BTreeMap<usize, u64> = BTreeMap::new();
-    let mut value_escapes: BTreeMap<usize, u64> = BTreeMap::new();
-    let mut untracked = 0u64;
-    let mut touches: BTreeMap<u32, Vec<Touch>> = BTreeMap::new();
-    let mut memory = workload.fresh_memory();
+    let mut tally = MemTally::default();
     let sim = GpuSim::new(sim_cfg);
     let result = sim.run_mem_observed(kernel, launch, &mut memory, &mut |event| {
-        join_event(
-            &mem,
-            &cells,
-            event,
-            &mut escapes,
-            &mut value_escapes,
-            &mut untracked,
-            &mut touches,
-        );
+        tally.record(&claim, event);
     })?;
-
-    let sites = mem
-        .sites
-        .iter()
-        .map(|s| {
-            let traffic = result.stats.mem.at(s.pc);
-            let floor = prediction.mem_floor_at(s.pc);
-            SiteCheck {
-                pc: s.pc,
-                is_store: s.is_store,
-                pattern: s.pattern.name().to_string(),
-                divergent: s.divergent,
-                accesses: traffic.accesses,
-                transactions: traffic.transactions,
-                escapes: escapes.get(&s.pc).copied().unwrap_or(0),
-                min_transactions: floor.map_or(0, |f| f.min_transactions),
-                min_executions: floor.map_or(0, |f| f.min_executions),
-            }
-        })
-        .collect();
-
     let residency = sim.max_resident_warps(kernel);
-    let schedule = match schedule_kernel(kernel, &perf_launch, &machine, residency) {
-        Ok(_) => ScheduleCheck {
-            static_mode: true,
-            bail: None,
-            bail_pc: None,
-            forwardable_loads: mem.forwardable.len(),
-            refined_loads: cells.refined.len(),
-        },
-        Err(bail) => ScheduleCheck {
-            static_mode: false,
-            bail: Some(bail_name(&bail).to_string()),
-            bail_pc: bail.pc(),
-            forwardable_loads: mem.forwardable.len(),
-            refined_loads: cells.refined.len(),
-        },
-    };
-
-    Ok(MemReport {
-        kernel: workload.name().to_string(),
-        race_free: mem.race_free,
-        static_races: mem.races.len(),
-        sites,
-        untracked_accesses: untracked,
-        refined_loads: cells.refined.len(),
-        refined_value_escapes: value_escapes.values().sum(),
-        traced_conflicts: traced_conflicts(&mem, &touches),
-        schedule,
-    })
+    let plan = schedule_kernel(kernel, &facts.perf, &machine, residency);
+    Ok(mem_join(
+        workload.name(),
+        &claim,
+        &tally,
+        &result.stats,
+        &floors,
+        &plan,
+    ))
 }
 
 /// Checks every workload, in parallel, in suite order.

@@ -17,14 +17,16 @@
 //! Any floor exceeding its measurement is an unsound model of the
 //! pipeline and is surfaced as a hard error by the CLI.
 
-use gpu_power::{ActivityCounts, EnergyModel, EnergyParams, PerfComparison};
-use gpu_sim::{GpuConfig, GpuSim, SimError};
+use gpu_power::{EnergyModel, EnergyParams, PerfComparison};
+use gpu_sim::{GpuConfig, GpuSim, SimError, SimStats};
 use gpu_workloads::Workload;
 use rayon::prelude::*;
 use serde::Serialize;
-use simt_analysis::{bound_kernel, PerfLaunch, PerfMachine, PerfPrediction};
+use simt_analysis::{bound_kernel, PerfMachine, PerfPrediction};
 
 use crate::design::DesignPoint;
+use crate::experiment::activity_of;
+use crate::launch::LaunchFacts;
 
 /// Derives the static machine model from a live simulator
 /// configuration, so the analysis and the run can never disagree on
@@ -85,11 +87,29 @@ pub struct PerfReport {
 }
 
 impl PerfReport {
-    /// Whether every static floor stayed at or below its measurement —
-    /// the invariant `wcsim perf` gates CI on.
+    /// Whether every static floor — cycles, bank accesses, energy,
+    /// instructions and each conflict site's stalls — stayed at or
+    /// below its measurement: the invariant `wcsim perf` gates CI on.
     pub fn is_sound(&self) -> bool {
-        self.comparison.measured_within_static_bound()
-            && self.conflict_checks.iter().all(ConflictCheck::is_sound)
+        self.violations().is_empty()
+    }
+
+    /// Which soundness checks failed, as human-readable labels.
+    pub fn violations(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        if !self.comparison.measured_within_static_bound() {
+            v.push("measured cycles, bank accesses or energy beat a static floor".into());
+        }
+        let (issued, floor) = (self.measured_instructions, self.prediction.min_instructions);
+        if issued < floor {
+            v.push(format!(
+                "issued {issued} instructions, below the static floor {floor}"
+            ));
+        }
+        for site in self.unsound_sites() {
+            v.push(format!("@{} stalled below its guaranteed stalls", site.pc));
+        }
+        v
     }
 
     /// Fraction of the measured runtime the static bound explains.
@@ -106,35 +126,17 @@ impl PerfReport {
     }
 }
 
-/// Bounds one workload statically and validates the floors against a
-/// simulated run under `design`.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the validation run.
-pub fn perf_workload(workload: &Workload, design: DesignPoint) -> Result<PerfReport, SimError> {
-    let cfg = design.config();
-    let machine = perf_machine(&cfg);
-    let launch = workload.launch();
-    let perf_launch = PerfLaunch {
-        blocks: launch.blocks(),
-        threads_per_block: launch.threads_per_block(),
-        params: launch.params().to_vec(),
-        initial_mem: None,
-    };
-    let prediction = bound_kernel(workload.kernel(), &perf_launch, &machine);
-
-    let mut memory = workload.fresh_memory();
-    let result = GpuSim::new(cfg).run(workload.kernel(), launch, &mut memory)?;
-    let stats = result.stats;
-    let activity = ActivityCounts::from_regfile_with_mode(
-        &stats.regfile,
-        stats.compressor_activations,
-        stats.decompressor_activations,
-        stats.gating.into(),
-    );
+/// Joins a static performance floor against one run's counters under
+/// `design`: cycles, bank accesses and energy globally, the instruction
+/// floor, and the guaranteed stalls per conflict site.
+pub(crate) fn perf_join(
+    kernel: &str,
+    design: DesignPoint,
+    prediction: PerfPrediction,
+    stats: &SimStats,
+) -> PerfReport {
     let model = EnergyModel::new(EnergyParams::paper_table3());
-    let comparison = PerfComparison::new(&prediction, &model, &activity);
+    let comparison = PerfComparison::new(&prediction, &model, &activity_of(stats));
     let conflict_checks = prediction
         .conflicts
         .iter()
@@ -146,14 +148,36 @@ pub fn perf_workload(workload: &Workload, design: DesignPoint) -> Result<PerfRep
         })
         .collect();
 
-    Ok(PerfReport {
-        kernel: workload.name().to_string(),
+    PerfReport {
+        kernel: kernel.to_string(),
         design: design.label(),
         prediction,
         comparison,
         conflict_checks,
         measured_instructions: stats.instructions,
-    })
+    }
+}
+
+/// Bounds one workload statically and validates the floors against a
+/// simulated run under `design`.
+///
+/// # Errors
+///
+/// Propagates any [`SimError`] from the validation run.
+pub fn perf_workload(workload: &Workload, design: DesignPoint) -> Result<PerfReport, SimError> {
+    let cfg = design.config();
+    let machine = perf_machine(&cfg);
+    let launch = workload.launch();
+    let mut memory = workload.fresh_memory();
+    let facts = LaunchFacts::new(launch, &memory, false);
+    let prediction = bound_kernel(workload.kernel(), &facts.perf, &machine);
+    let result = GpuSim::new(cfg).run(workload.kernel(), launch, &mut memory)?;
+    Ok(perf_join(
+        workload.name(),
+        design,
+        prediction,
+        &result.stats,
+    ))
 }
 
 /// Bounds and validates every workload under the warped-compression
@@ -199,6 +223,16 @@ mod tests {
         let w = gpu_workloads::by_name("bfs").unwrap();
         let r = perf_workload(&w, DesignPoint::WarpedCompression).unwrap();
         assert!(r.is_sound(), "violations: {:?}", r.unsound_sites());
+    }
+
+    #[test]
+    fn a_run_below_the_instruction_floor_is_unsound() {
+        let w = gpu_workloads::by_name("lib").unwrap();
+        let mut r = perf_workload(&w, DesignPoint::WarpedCompression).unwrap();
+        assert!(r.is_sound());
+        r.measured_instructions = r.prediction.min_instructions - 1;
+        assert!(!r.is_sound(), "the instruction floor must be gated");
+        assert!(r.violations()[0].contains("instructions"));
     }
 
     #[test]

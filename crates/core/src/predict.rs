@@ -17,13 +17,14 @@
 
 use bdi::CompressionClass;
 use gpu_power::CompressibilityComparison;
-use gpu_sim::SimError;
+use gpu_sim::{SimError, WriteEvent};
 use gpu_workloads::Workload;
 use rayon::prelude::*;
 use serde::Serialize;
-use simt_analysis::{analyze_with_launch, KernelPrediction, LaunchInfo};
+use simt_analysis::{analyze_with_launch, KernelPrediction};
 
 use crate::design::DesignPoint;
+use crate::launch::LaunchFacts;
 
 /// How a static site prediction compared against the simulated run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
@@ -111,7 +112,109 @@ impl PredictReport {
     /// its static class allows, and the static gateable-bank bound
     /// stayed below the measured figure.
     pub fn is_sound(&self) -> bool {
-        self.unsound_count() == 0 && self.comparison.measured_within_static_bound()
+        self.violations().is_empty()
+    }
+
+    /// Which soundness checks failed, as human-readable labels.
+    pub fn violations(&self) -> Vec<String> {
+        let mut v: Vec<String> = self
+            .sites
+            .iter()
+            .filter_map(|s| match (s.outcome, s.measured) {
+                (SiteOutcome::UnsoundMiss, Some(m)) => Some(format!(
+                    "write site @{} r{} stored {} over its predicted {}",
+                    s.pc,
+                    s.reg,
+                    m.name(),
+                    s.predicted.name()
+                )),
+                _ => None,
+            })
+            .collect();
+        if !self.comparison.measured_within_static_bound() {
+            v.push("measured gated banks per write fell below the static bound".into());
+        }
+        v
+    }
+}
+
+/// What one run's register writes stored, per write site: the worst
+/// (largest-footprint) class and the execution count, plus the mean
+/// stored footprint. Synthetic dummy MOVs rewrite existing values and
+/// are not program write sites, so they are skipped.
+#[derive(Clone, Debug)]
+pub(crate) struct WriteTally {
+    /// Per pc: the worst class stored there and the writes it retired.
+    sites: Vec<(Option<CompressionClass>, u64)>,
+    total_banks: u64,
+}
+
+impl WriteTally {
+    /// An empty tally for a kernel of `num_pcs` instructions.
+    pub(crate) fn new(num_pcs: usize) -> WriteTally {
+        WriteTally {
+            sites: vec![(None, 0); num_pcs],
+            total_banks: 0,
+        }
+    }
+
+    /// Records one retired write (the write probe's body).
+    pub(crate) fn record(&mut self, event: &WriteEvent) {
+        if event.synthetic {
+            return;
+        }
+        let (worst, writes) = &mut self.sites[event.pc];
+        *writes += 1;
+        if worst.is_none_or(|w| w.banks() < event.class.banks()) {
+            *worst = Some(event.class);
+        }
+        self.total_banks += event.class.banks() as u64;
+    }
+}
+
+/// Joins a static prediction against what one run stored, per write
+/// site, and the static gateable-bank bound against the mean stored
+/// footprint.
+pub(crate) fn predict_join(
+    kernel: &str,
+    prediction: KernelPrediction,
+    tally: &WriteTally,
+) -> PredictReport {
+    let sites = prediction
+        .sites
+        .iter()
+        .map(|site| {
+            let (measured, executions) = tally.sites[site.pc];
+            let outcome = match measured {
+                None => SiteOutcome::Conservative,
+                Some(m) if m.banks() > site.class.banks() => SiteOutcome::UnsoundMiss,
+                Some(m) if m.banks() == site.class.banks() => SiteOutcome::Exact,
+                Some(_) => SiteOutcome::Conservative,
+            };
+            SiteValidation {
+                pc: site.pc,
+                reg: site.reg,
+                predicted: site.class,
+                measured,
+                executions,
+                outcome,
+            }
+        })
+        .collect();
+
+    let total_writes: u64 = tally.sites.iter().map(|&(_, writes)| writes).sum();
+    let mean_footprint = if total_writes == 0 {
+        CompressionClass::Uncompressed.banks() as f64
+    } else {
+        tally.total_banks as f64 / total_writes as f64
+    };
+    let comparison = CompressibilityComparison::new(&prediction, mean_footprint);
+
+    PredictReport {
+        kernel: kernel.to_string(),
+        prediction,
+        sites,
+        comparison,
     }
 }
 
@@ -158,81 +261,24 @@ impl From<SimError> for PredictError {
 /// workload in this repository does), [`PredictError::Sim`] if the
 /// simulation fails.
 pub fn predict_workload(workload: &Workload) -> Result<PredictReport, PredictError> {
+    let kernel = workload.kernel();
     let launch = workload.launch();
-    let info = LaunchInfo {
-        params: launch.params().to_vec(),
-        blocks: u32::try_from(launch.blocks()).ok(),
-        threads_per_block: u32::try_from(launch.threads_per_block()).ok(),
-        mem_words: u64::try_from(workload.fresh_memory().len()).ok(),
-        initial_mem: None,
-    };
-    let analysis = analyze_with_launch(workload.kernel(), Some(&info));
-    let prediction = analysis.prediction.ok_or_else(|| PredictError::Static {
-        kernel: workload.name().to_string(),
-    })?;
-
-    // Trace the run: per-pc worst stored class and execution count,
-    // plus the mean stored footprint in banks. Synthetic dummy MOVs
-    // rewrite existing values and are not program write sites.
-    let num_pcs = workload.kernel().instrs().len();
-    let mut worst: Vec<Option<CompressionClass>> = vec![None; num_pcs];
-    let mut execs: Vec<u64> = vec![0; num_pcs];
-    let mut total_banks: u64 = 0;
-    let mut total_writes: u64 = 0;
     let mut memory = workload.fresh_memory();
+    let facts = LaunchFacts::new(launch, &memory, false);
+    let prediction = analyze_with_launch(kernel, Some(&facts.info))
+        .prediction
+        .ok_or_else(|| PredictError::Static {
+            kernel: workload.name().to_string(),
+        })?;
+
+    let mut tally = WriteTally::new(kernel.len());
     gpu_sim::GpuSim::new(DesignPoint::WarpedCompression.config()).run_observed(
-        workload.kernel(),
+        kernel,
         launch,
         &mut memory,
-        &mut |event| {
-            if event.synthetic {
-                return;
-            }
-            execs[event.pc] += 1;
-            total_banks += event.class.banks() as u64;
-            total_writes += 1;
-            worst[event.pc] = Some(match worst[event.pc] {
-                Some(prev) if prev.banks() >= event.class.banks() => prev,
-                _ => event.class,
-            });
-        },
+        &mut |event| tally.record(event),
     )?;
-
-    let sites = prediction
-        .sites
-        .iter()
-        .map(|site| {
-            let measured = worst[site.pc];
-            let outcome = match measured {
-                None => SiteOutcome::Conservative,
-                Some(m) if m.banks() > site.class.banks() => SiteOutcome::UnsoundMiss,
-                Some(m) if m.banks() == site.class.banks() => SiteOutcome::Exact,
-                Some(_) => SiteOutcome::Conservative,
-            };
-            SiteValidation {
-                pc: site.pc,
-                reg: site.reg,
-                predicted: site.class,
-                measured,
-                executions: execs[site.pc],
-                outcome,
-            }
-        })
-        .collect();
-
-    let mean_footprint = if total_writes == 0 {
-        CompressionClass::Uncompressed.banks() as f64
-    } else {
-        total_banks as f64 / total_writes as f64
-    };
-    let comparison = CompressibilityComparison::new(&prediction, mean_footprint);
-
-    Ok(PredictReport {
-        kernel: workload.name().to_string(),
-        prediction,
-        sites,
-        comparison,
-    })
+    Ok(predict_join(workload.name(), prediction, &tally))
 }
 
 /// Predicts and validates every workload, in parallel, in suite order.

@@ -26,14 +26,16 @@
 //! trivially. Any violation is surfaced as a hard error by the CLI —
 //! this is the `wcsim schedule` CI gate.
 
-use gpu_power::{ActivityCounts, EnergyModel, EnergyParams, ScheduleComparison};
-use gpu_sim::{GpuSim, SimError, SimStats};
+use gpu_power::{EnergyModel, EnergyParams, ScheduleComparison};
+use gpu_sim::{FinalRegs, GlobalMemory, GpuSim, SimError, SimStats};
 use gpu_workloads::Workload;
 use rayon::prelude::*;
 use serde::Serialize;
-use simt_analysis::{bound_kernel, schedule_kernel, PerfLaunch};
+use simt_analysis::{bound_kernel, schedule_kernel, IssuePlan, ScheduleBail};
 
 use crate::design::DesignPoint;
+use crate::experiment::activity_of;
+use crate::launch::LaunchFacts;
 use crate::perfbound::perf_machine;
 
 /// Fixed slack head-room: covers drain/launch edge effects that do
@@ -150,13 +152,89 @@ impl ScheduleReport {
     }
 }
 
-fn activity_of(stats: &SimStats) -> ActivityCounts {
-    ActivityCounts::from_regfile_with_mode(
-        &stats.regfile,
-        stats.compressor_activations,
-        stats.decompressor_activations,
-        stats.gating.into(),
-    )
+/// The static half of the schedule gate: the perfbound floor no replay
+/// may beat, the issue plan (or why the scheduler bailed), and how many
+/// cycles a replay may trail a dynamic run of a given length.
+#[derive(Clone, Debug)]
+pub(crate) struct ScheduleClaim {
+    /// Perfbound static cycle lower bound for the launch.
+    pub floor: u64,
+    /// The issue plan to replay, or the scheduler's bail.
+    pub plan: Result<IssuePlan, ScheduleBail>,
+    /// Slack budget as a function of the dynamic runtime.
+    pub slack: fn(u64) -> u64,
+}
+
+impl ScheduleClaim {
+    /// A claim over `plan` with the gate's slack budget,
+    /// [`schedule_slack`].
+    pub(crate) fn new(floor: u64, plan: Result<IssuePlan, ScheduleBail>) -> ScheduleClaim {
+        ScheduleClaim {
+            floor,
+            plan,
+            slack: schedule_slack,
+        }
+    }
+}
+
+/// One finished run as the bit-identity check sees it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RunOutcome<'a> {
+    /// The run's counters.
+    pub stats: &'a SimStats,
+    /// Every warp's final registers.
+    pub regs: &'a FinalRegs,
+    /// Global memory after the run.
+    pub memory: &'a GlobalMemory,
+}
+
+/// Joins a schedule claim against a dynamic run and the replay of the
+/// claim's plan under `design`. `replay` is `None` exactly when the
+/// scheduler bailed; the dynamic run then stands in for it, so the
+/// three checks hold trivially.
+///
+/// # Panics
+///
+/// If the claim holds a plan but no replay is given.
+pub(crate) fn schedule_join(
+    kernel: &str,
+    design: DesignPoint,
+    claim: &ScheduleClaim,
+    dynamic: RunOutcome<'_>,
+    replay: Option<RunOutcome<'_>>,
+) -> ScheduleReport {
+    let (mode, sched) = match &claim.plan {
+        Ok(_) => (
+            ScheduleMode::Static,
+            replay.expect("a closed plan is replayed"),
+        ),
+        Err(bail) => (
+            ScheduleMode::DynamicFallback {
+                reason: format!("kernel `{kernel}`: {bail}"),
+            },
+            dynamic,
+        ),
+    };
+    let model = EnergyModel::new(EnergyParams::paper_table3());
+    ScheduleReport {
+        kernel: kernel.to_string(),
+        design: design.label(),
+        mode,
+        static_floor_cycles: claim.floor,
+        scheduled_cycles: sched.stats.cycles,
+        dynamic_cycles: dynamic.stats.cycles,
+        slack_cycles: (claim.slack)(dynamic.stats.cycles),
+        scheduled_instructions: sched.stats.instructions,
+        dynamic_instructions: dynamic.stats.instructions,
+        registers_match: sched.regs == dynamic.regs,
+        memory_matches: sched.memory == dynamic.memory,
+        comparison: ScheduleComparison::new(
+            kernel,
+            &model,
+            &activity_of(sched.stats),
+            &activity_of(dynamic.stats),
+        ),
+    }
 }
 
 /// Schedules one workload statically, replays the plan on the
@@ -178,70 +256,39 @@ pub fn schedule_workload(
     let sim = GpuSim::new(cfg);
     let kernel = workload.kernel();
     let launch = workload.launch();
-    let perf_launch = PerfLaunch {
-        blocks: launch.blocks(),
-        threads_per_block: launch.threads_per_block(),
-        params: launch.params().to_vec(),
-        initial_mem: Some(std::sync::Arc::new(
-            workload.fresh_memory().words().to_vec(),
-        )),
-    };
-    let floor = bound_kernel(kernel, &perf_launch, &machine).cycle_lower_bound;
-
     let mut dyn_mem = workload.fresh_memory();
-    let (dyn_result, dyn_regs) = sim.run_capturing(kernel, launch, &mut dyn_mem)?;
-    let dynamic_cycles = dyn_result.stats.cycles;
-    let model = EnergyModel::new(EnergyParams::paper_table3());
-    let dyn_activity = activity_of(&dyn_result.stats);
+    let facts = LaunchFacts::new(launch, &dyn_mem, true);
+    let floor = bound_kernel(kernel, &facts.perf, &machine).cycle_lower_bound;
 
+    let (dyn_result, dyn_regs) = sim.run_capturing(kernel, launch, &mut dyn_mem)?;
     let residency = sim.max_resident_warps(kernel);
-    let report = match schedule_kernel(kernel, &perf_launch, &machine, residency) {
+    let claim = ScheduleClaim::new(
+        floor,
+        schedule_kernel(kernel, &facts.perf, &machine, residency),
+    );
+    let replayed = match &claim.plan {
         Ok(plan) => {
             let mut sched_mem = workload.fresh_memory();
-            let sched = sim.run_scheduled(kernel, &plan, launch, &mut sched_mem)?;
-            ScheduleReport {
-                kernel: workload.name().to_string(),
-                design: design.label(),
-                mode: ScheduleMode::Static,
-                static_floor_cycles: floor,
-                scheduled_cycles: sched.stats.cycles,
-                dynamic_cycles,
-                slack_cycles: schedule_slack(dynamic_cycles),
-                scheduled_instructions: sched.stats.instructions,
-                dynamic_instructions: dyn_result.stats.instructions,
-                registers_match: sched.final_regs == dyn_regs,
-                memory_matches: sched_mem == dyn_mem,
-                comparison: ScheduleComparison::new(
-                    workload.name(),
-                    &model,
-                    &activity_of(&sched.stats),
-                    &dyn_activity,
-                ),
-            }
+            let sched = sim.run_scheduled(kernel, plan, launch, &mut sched_mem)?;
+            Some((sched, sched_mem))
         }
-        Err(bail) => ScheduleReport {
-            kernel: workload.name().to_string(),
-            design: design.label(),
-            mode: ScheduleMode::DynamicFallback {
-                reason: format!("kernel `{}`: {bail}", workload.name()),
-            },
-            static_floor_cycles: floor,
-            scheduled_cycles: dynamic_cycles,
-            dynamic_cycles,
-            slack_cycles: schedule_slack(dynamic_cycles),
-            scheduled_instructions: dyn_result.stats.instructions,
-            dynamic_instructions: dyn_result.stats.instructions,
-            registers_match: true,
-            memory_matches: true,
-            comparison: ScheduleComparison::new(
-                workload.name(),
-                &model,
-                &dyn_activity,
-                &dyn_activity,
-            ),
-        },
+        Err(_) => None,
     };
-    Ok(report)
+    Ok(schedule_join(
+        workload.name(),
+        design,
+        &claim,
+        RunOutcome {
+            stats: &dyn_result.stats,
+            regs: &dyn_regs,
+            memory: &dyn_mem,
+        },
+        replayed.as_ref().map(|(sched, sched_mem)| RunOutcome {
+            stats: &sched.stats,
+            regs: &sched.final_regs,
+            memory: sched_mem,
+        }),
+    ))
 }
 
 /// Schedules and validates every workload under the warped-compression

@@ -17,7 +17,7 @@ use simt_isa::Kernel;
 
 use crate::launch::LaunchConfig;
 use crate::memory::GlobalMemory;
-use crate::sm::{GpuSim, SimError, SimResult};
+use crate::sm::{GpuSim, Probes, SimError, SimResult};
 use crate::stats::{SimStats, WriteEvent};
 
 /// Result of a whole-chip run.
@@ -66,11 +66,15 @@ impl GpuSim {
         let per_sm_blocks = blocks.div_ceil(num_sms);
         let mut per_sm = Vec::with_capacity(num_sms);
         let mut chip = SimStats::default();
+        let mut probes = Probes {
+            writes: Some(observer),
+            ..Probes::default()
+        };
         for sm in 0..num_sms {
             let start = (sm * per_sm_blocks).min(blocks);
             let end = ((sm + 1) * per_sm_blocks).min(blocks);
             let result = if start < end {
-                self.run_block_range(kernel, launch, memory, start..end, observer)?
+                self.run_block_range(kernel, launch, memory, start..end, &mut probes)?
             } else {
                 SimResult {
                     stats: SimStats::default(),

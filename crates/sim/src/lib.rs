@@ -23,6 +23,13 @@
 //! operands and write results through one shared register datapath, so
 //! they differ only in timing.
 //!
+//! [`GpuSim::run_with`] arms any combination of [`Probes`] on one
+//! dynamic run: a register-write observer, a memory-access observer and
+//! final-register capture. The soundness gates join what one probed run
+//! observed against their static claims; `run`, `run_observed`,
+//! `run_capturing` and `run_mem_observed` are shorthands for one probe
+//! each.
+//!
 //! The output is a [`SimResult`]: cycle count, instruction and divergence
 //! statistics, compression ratios, and the raw bank activity that the
 //! `gpu-power` crate turns into the paper's energy numbers.
@@ -71,7 +78,7 @@ pub use config::{CompressionConfig, DivergencePolicy, GpuConfig, SchedulerPolicy
 pub use launch::{LaunchConfig, LaunchError};
 pub use memory::{GlobalMemory, MemoryFault};
 pub use scheduled::ScheduledResult;
-pub use sm::{FinalRegs, GpuSim, SimError, SimResult};
+pub use sm::{FinalRegs, GpuSim, Probes, SimError, SimResult};
 pub use stats::{
     CensusStats, MemEvent, MemTrafficStats, PcMemTraffic, PcStalls, SimStats, StallCause,
     StallStats, WriteEvent,

@@ -166,6 +166,19 @@ pub struct SimResult {
 /// bit-identity witness the scheduled backend is checked against.
 pub type FinalRegs = BTreeMap<(usize, usize), Vec<WarpRegister>>;
 
+/// The hooks one dynamic run can arm, in any combination, through
+/// [`GpuSim::run_with`]. None of them changes timing or statistics.
+#[derive(Default)]
+pub struct Probes<'a> {
+    /// Receives every retired register write.
+    pub writes: Option<&'a mut dyn FnMut(&WriteEvent)>,
+    /// Receives every dispatched global-memory access.
+    pub mem: Option<&'a mut dyn FnMut(&MemEvent)>,
+    /// When `Some`, each drained warp deposits its decompressed
+    /// registers here just before its slot is freed.
+    pub final_regs: Option<FinalRegs>,
+}
+
 /// The simulator front-end: configure once, run kernels.
 #[derive(Clone, Debug)]
 pub struct GpuSim {
@@ -202,11 +215,28 @@ impl GpuSim {
         launch: &LaunchConfig,
         memory: &mut GlobalMemory,
     ) -> Result<SimResult, SimError> {
-        self.run_observed(kernel, launch, memory, &mut |_| {})
+        self.run_with(kernel, launch, memory, &mut Probes::default())
     }
 
-    /// Runs a kernel, delivering every retired register write to
-    /// `observer` (used for the Fig. 2 / Fig. 5 value characterisations).
+    /// Runs a kernel to completion with every hook armed in `probes`:
+    /// one run can trace register writes and memory accesses and
+    /// capture the final registers together.
+    ///
+    /// # Errors
+    ///
+    /// See [`SimError`].
+    pub fn run_with(
+        &self,
+        kernel: &Kernel,
+        launch: &LaunchConfig,
+        memory: &mut GlobalMemory,
+        probes: &mut Probes<'_>,
+    ) -> Result<SimResult, SimError> {
+        self.run_block_range(kernel, launch, memory, 0..launch.blocks(), probes)
+    }
+
+    /// [`run_with`](Self::run_with) with only the register-write probe
+    /// armed (the Fig. 2 / Fig. 5 value characterisations).
     ///
     /// # Errors
     ///
@@ -218,15 +248,16 @@ impl GpuSim {
         memory: &mut GlobalMemory,
         observer: &mut dyn FnMut(&WriteEvent),
     ) -> Result<SimResult, SimError> {
-        self.run_block_range(kernel, launch, memory, 0..launch.blocks(), observer)
+        let mut probes = Probes {
+            writes: Some(observer),
+            ..Probes::default()
+        };
+        self.run_with(kernel, launch, memory, &mut probes)
     }
 
-    /// Runs a kernel and additionally captures every warp's final
-    /// architectural register values (decompressed) at drain time.
-    ///
-    /// The scheduled backend replays an ahead-of-time issue plan with
-    /// the scoreboard bypassed; this method provides the dynamic-core
-    /// ground truth its bit-identity soundness check compares against.
+    /// [`run_with`](Self::run_with) with only final-register capture
+    /// armed: the dynamic-core ground truth the scheduled backend's
+    /// bit-identity check compares against.
     ///
     /// # Errors
     ///
@@ -237,27 +268,16 @@ impl GpuSim {
         launch: &LaunchConfig,
         memory: &mut GlobalMemory,
     ) -> Result<(SimResult, FinalRegs), SimError> {
-        let mut observer = |_: &WriteEvent| {};
-        let mut engine = Engine::new(
-            &self.cfg,
-            kernel,
-            launch,
-            memory,
-            0..launch.blocks(),
-            &mut observer,
-        )?;
-        engine.capture = Some(FinalRegs::new());
-        let result = engine.run_loop()?;
-        let regs = engine.capture.take().expect("armed above");
-        Ok((result, regs))
+        let mut probes = Probes {
+            final_regs: Some(FinalRegs::new()),
+            ..Probes::default()
+        };
+        let result = self.run_with(kernel, launch, memory, &mut probes)?;
+        Ok((result, probes.final_regs.unwrap_or_default()))
     }
 
-    /// Runs a kernel, delivering every dispatched global-memory access
-    /// (pc, warp, active mask, per-lane effective addresses) to
-    /// `mem_observer`.
-    ///
-    /// This is the trace the `wcsim mem` soundness gate joins against
-    /// the static address abstraction.
+    /// [`run_with`](Self::run_with) with only the memory-access probe
+    /// armed.
     ///
     /// # Errors
     ///
@@ -269,17 +289,11 @@ impl GpuSim {
         memory: &mut GlobalMemory,
         mem_observer: &mut dyn FnMut(&MemEvent),
     ) -> Result<SimResult, SimError> {
-        let mut observer = |_: &WriteEvent| {};
-        let mut engine = Engine::new(
-            &self.cfg,
-            kernel,
-            launch,
-            memory,
-            0..launch.blocks(),
-            &mut observer,
-        )?;
-        engine.mem_observer = Some(mem_observer);
-        engine.run_loop()
+        let mut probes = Probes {
+            mem: Some(mem_observer),
+            ..Probes::default()
+        };
+        self.run_with(kernel, launch, memory, &mut probes)
     }
 
     /// Runs only the blocks in `range` of the launch on this SM — the
@@ -290,9 +304,9 @@ impl GpuSim {
         launch: &LaunchConfig,
         memory: &mut GlobalMemory,
         range: std::ops::Range<usize>,
-        observer: &mut dyn FnMut(&WriteEvent),
+        probes: &mut Probes<'_>,
     ) -> Result<SimResult, SimError> {
-        Engine::new(&self.cfg, kernel, launch, memory, range, observer)?.run()
+        Engine::new(&self.cfg, kernel, launch, memory, range, probes)?.run_loop()
     }
 
     /// Runs a kernel with the given fault injector armed in the register
@@ -308,14 +322,14 @@ impl GpuSim {
         memory: &mut GlobalMemory,
         injector: gpu_faults::FaultInjector,
     ) -> (Result<SimResult, SimError>, gpu_faults::FaultLog) {
-        let mut observer = |_: &WriteEvent| {};
+        let mut probes = Probes::default();
         let engine = Engine::new(
             self.config(),
             kernel,
             launch,
             memory,
             0..launch.blocks(),
-            &mut observer,
+            &mut probes,
         );
         match engine {
             Ok(mut engine) => {
@@ -377,12 +391,12 @@ struct WbEntry {
     state: WbState,
 }
 
-struct Engine<'a> {
+struct Engine<'a, 'p> {
     cfg: &'a GpuConfig,
     kernel: &'a Kernel,
     launch: &'a LaunchConfig,
     memory: &'a mut GlobalMemory,
-    observer: &'a mut dyn FnMut(&WriteEvent),
+    probes: &'a mut Probes<'p>,
     dp: Datapath,
     ports: BankPorts,
     scoreboard: Scoreboard,
@@ -398,12 +412,6 @@ struct Engine<'a> {
     launch_seq: u64,
     stats: SimStats,
     last_progress: u64,
-    /// When armed, drained warps deposit their decompressed registers
-    /// here just before the slot is freed.
-    capture: Option<FinalRegs>,
-    /// When armed, every dispatched load/store delivers a [`MemEvent`]
-    /// (pc, warp, active mask, per-lane addresses) here.
-    mem_observer: Option<&'a mut dyn FnMut(&MemEvent)>,
     /// Independent RAW/WAW/WAR re-check of every issue/capture/retire.
     #[cfg(feature = "sanitize")]
     oracle: crate::sanitize::HazardOracle,
@@ -412,14 +420,14 @@ struct Engine<'a> {
 /// Declare a deadlock after this many cycles without an issue or retire.
 const DEADLOCK_WINDOW: u64 = 100_000;
 
-impl<'a> Engine<'a> {
+impl<'a, 'p> Engine<'a, 'p> {
     fn new(
         cfg: &'a GpuConfig,
         kernel: &'a Kernel,
         launch: &'a LaunchConfig,
         memory: &'a mut GlobalMemory,
         block_range: std::ops::Range<usize>,
-        observer: &'a mut dyn FnMut(&WriteEvent),
+        probes: &'a mut Probes<'p>,
     ) -> Result<Self, SimError> {
         let max_resident = datapath::max_resident(cfg, kernel);
         let warps_needed = launch.warps_per_block();
@@ -444,8 +452,6 @@ impl<'a> Engine<'a> {
             launch_seq: 0,
             stats: SimStats::default(),
             last_progress: 0,
-            capture: None,
-            mem_observer: None,
             #[cfg(feature = "sanitize")]
             oracle: crate::sanitize::HazardOracle::new(
                 kernel.name(),
@@ -456,18 +462,14 @@ impl<'a> Engine<'a> {
             kernel,
             launch,
             memory,
-            observer,
+            probes,
             dp: Datapath::new(cfg, cfg.regfile, kernel),
         })
     }
 
-    fn run(mut self) -> Result<SimResult, SimError> {
-        self.run_loop()
-    }
-
-    /// The main cycle loop, separated from [`run`](Self::run) so
-    /// `run_faulted` can recover the fault log from the register file
-    /// after an `Err` return.
+    /// The main cycle loop. It borrows the engine so `run_faulted` can
+    /// recover the fault log from the register file after an `Err`
+    /// return.
     fn run_loop(&mut self) -> Result<SimResult, SimError> {
         self.launch_blocks()?;
         while !self.is_done() {
@@ -542,7 +544,7 @@ impl<'a> Engine<'a> {
                 debug_assert!(self.scoreboard.is_warp_idle(s));
                 #[cfg(feature = "sanitize")]
                 self.oracle.on_warp_free(s);
-                if let Some(cap) = self.capture.as_mut() {
+                if let Some(cap) = self.probes.final_regs.as_mut() {
                     let w = self.warps[s].as_ref().expect("drained warp present");
                     cap.insert((w.block, w.warp_in_block), self.dp.capture(s));
                 }
@@ -819,7 +821,7 @@ impl<'a> Engine<'a> {
         segs.sort_unstable();
         segs.dedup();
         self.stats.mem.record(access.pc, segs.len() as u64);
-        if let Some(observer) = self.mem_observer.as_mut() {
+        if let Some(observer) = self.probes.mem.as_mut() {
             observer(access);
         }
     }
@@ -952,13 +954,15 @@ impl<'a> Engine<'a> {
     /// Publishes a stored write and releases what it held.
     fn retire_write(&mut self, e: &WbEntry, class: CompressionClass) {
         let w = &e.write;
-        (self.observer)(&WriteEvent {
-            pc: e.pc,
-            value: w.value,
-            class,
-            divergent: w.divergent,
-            synthetic: w.synthetic,
-        });
+        if let Some(observer) = self.probes.writes.as_mut() {
+            observer(&WriteEvent {
+                pc: e.pc,
+                value: w.value,
+                class,
+                divergent: w.divergent,
+                synthetic: w.synthetic,
+            });
+        }
         self.scoreboard.release_write(w.slot, w.reg);
         #[cfg(feature = "sanitize")]
         self.oracle.on_retire_write(w.slot, w.reg);
@@ -1346,6 +1350,77 @@ mod tests {
         assert!(events.iter().all(|e| !e.divergent && !e.synthetic));
         // First write is gtid: 0..32.
         assert_eq!(events[0].value.lane(5), 5);
+    }
+
+    #[test]
+    fn one_probed_run_sees_what_the_single_probe_runs_see() {
+        // Two blocks of 64 threads: lanes with tid < 40 load mem[gtid]
+        // inside a divergent branch; every lane then stores
+        // mem[gtid] + tid to mem[128 + gtid].
+        let mut b = KernelBuilder::new("probes", 4);
+        b.mov(Reg(0), Operand::Special(Special::GlobalTid));
+        b.mov(Reg(1), Operand::Special(Special::Tid));
+        b.mov(Reg(2), Operand::Imm(7));
+        b.alu(AluOp::SetLt, Reg(3), Reg(1).into(), Operand::Imm(40));
+        let then = b.label();
+        let merge = b.label();
+        b.bra(Reg(3), then, merge);
+        b.jmp(merge);
+        b.bind(then);
+        b.ld(Reg(2), Reg(0), 0);
+        b.bind(merge);
+        b.alu(AluOp::Add, Reg(2), Reg(2).into(), Reg(1).into());
+        b.st(Reg(0), 128, Reg(2));
+        b.exit();
+        let kernel = b.build().unwrap();
+        let launch = LaunchConfig::new(2, 64);
+        let sim = GpuSim::new(GpuConfig::warped_compression());
+        let fresh = || GlobalMemory::from_words((0..256).map(|i| i * 3).collect());
+
+        let mut writes = Vec::new();
+        let mut accesses = Vec::new();
+        let mut all_mem = fresh();
+        let mut on_write = |e: &WriteEvent| writes.push(*e);
+        let mut on_access = |e: &MemEvent| accesses.push(*e);
+        let mut probes = Probes {
+            writes: Some(&mut on_write),
+            mem: Some(&mut on_access),
+            final_regs: Some(FinalRegs::new()),
+        };
+        let all = sim
+            .run_with(&kernel, &launch, &mut all_mem, &mut probes)
+            .unwrap();
+        let all_regs = probes.final_regs.take().unwrap();
+
+        let mut obs_writes = Vec::new();
+        let mut obs_mem = fresh();
+        let observed = sim
+            .run_observed(&kernel, &launch, &mut obs_mem, &mut |e| obs_writes.push(*e))
+            .unwrap();
+        let mut mem_accesses = Vec::new();
+        let mut traced_mem = fresh();
+        let traced = sim
+            .run_mem_observed(&kernel, &launch, &mut traced_mem, &mut |e| {
+                mem_accesses.push(*e)
+            })
+            .unwrap();
+        let mut cap_mem = fresh();
+        let (captured, regs) = sim.run_capturing(&kernel, &launch, &mut cap_mem).unwrap();
+
+        assert!(all.stats.divergent_instructions > 0, "the branch diverges");
+        assert!(accesses.iter().any(|a| !a.is_store) && accesses.iter().any(|a| a.is_store));
+        for single in [&observed, &traced, &captured] {
+            assert_eq!(&all, single);
+        }
+        assert_eq!(writes, obs_writes);
+        assert_eq!(accesses, mem_accesses);
+        assert_eq!(all_regs, regs);
+        assert_eq!(all_regs.len(), 4, "two blocks of two warps");
+        for mem in [&obs_mem, &traced_mem, &cap_mem] {
+            assert_eq!(&all_mem, mem);
+        }
+        assert_eq!(all_mem.word(128 + 65).unwrap(), 65 * 3 + 1);
+        assert_eq!(all_mem.word(128 + 127).unwrap(), 7 + 63);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! 1. **Panic-freedom / zero findings** — a bounded campaign over the
 //!    shared generator must complete without a single finding: no
-//!    panics, no scheduled-replay divergence, no absint or perfbound
-//!    violation, no watchdog expiry.
+//!    panics, no scheduled-replay divergence, no predict, perf or mem
+//!    gate violation, no watchdog expiry.
 //! 2. **Detection** — every [`Mutation`] (one injected bug per finding
 //!    category) must be caught, classified as its expected category and
 //!    shrunk to a reproducer. A fuzzer that finds nothing proves
@@ -40,13 +40,29 @@ fn bounded_campaign_is_finding_free() {
     }
 }
 
-/// Obligation 2: all nine injected bugs are caught, correctly
-/// classified and shrunk.
+/// Obligation 2: all ten injected bugs are caught, correctly
+/// classified and shrunk — each on the case and to the reproducer size
+/// and launch pinned for seed 42.
 #[test]
 fn every_mutation_is_caught_classified_and_shrunk() {
+    // (mutation, cases scanned, shrunk instructions, blocks, threads
+    // per block)
+    const PINNED: [(Mutation, usize, usize, usize, usize); 10] = [
+        (Mutation::InjectPanic, 1, 1, 1, 32),
+        (Mutation::InjectSanitizePanic, 1, 1, 1, 32),
+        (Mutation::StarveWatchdog, 1, 2, 1, 32),
+        (Mutation::ShrinkMemory, 3, 2, 1, 32),
+        (Mutation::FlipHazardWindow, 1, 2, 1, 32),
+        (Mutation::CorruptReplayMemory, 1, 1, 1, 32),
+        (Mutation::RaiseCycleFloor, 1, 1, 1, 32),
+        (Mutation::ZeroSlack, 11, 4, 4, 32),
+        (Mutation::ShrinkBankPrediction, 1, 2, 1, 32),
+        (Mutation::ShrinkAddressSet, 3, 2, 1, 32),
+    ];
     let outcomes = mutation_smoke(42, DEFAULT_CYCLE_BUDGET, 64);
     assert_eq!(outcomes.len(), Mutation::ALL.len());
-    for o in &outcomes {
+    for (o, &(mutation, scanned, shrunk, blocks, threads)) in outcomes.iter().zip(&PINNED) {
+        assert_eq!(o.mutation, mutation);
         assert!(
             o.passed(),
             "{} was not caught as {:?} within {} case(s)",
@@ -56,6 +72,17 @@ fn every_mutation_is_caught_classified_and_shrunk() {
         );
         let report = o.caught.as_ref().unwrap();
         let finding = report.finding.as_ref().unwrap();
+        assert_eq!(
+            (
+                o.cases_scanned,
+                finding.shrunk_instructions,
+                finding.shrunk_blocks,
+                finding.shrunk_threads_per_block
+            ),
+            (scanned, shrunk, blocks, threads),
+            "{}: (scanned, shrunk instructions, blocks, threads per block)",
+            mutation.name()
+        );
         assert!(
             finding.shrunk_instructions <= report.kernel_instructions,
             "shrinking must never grow the kernel"
@@ -68,7 +95,8 @@ fn every_mutation_is_caught_classified_and_shrunk() {
 /// and lands under a fixed instruction budget.
 #[test]
 fn known_injection_shrinks_deterministically_under_budget() {
-    // Case 14 under ZeroSlack is the first slack violation for seed 42:
+    // Case 14 under ZeroSlack is a slack violation for seed 42 (case 10
+    // is the first, as the smoke table pins):
     // a real kernel-dependent finding (unlike the pre-kernel panics),
     // so the ddmin pass actually has work to do.
     let mutation = Some(Mutation::ZeroSlack);
