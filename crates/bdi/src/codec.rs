@@ -1,14 +1,12 @@
 //! The compression/decompression engine (paper Fig. 7).
 
-use std::fmt;
-
 use crate::choice::{ChoiceSet, CompressionClass};
 use crate::compressed::CompressedRegister;
 use crate::deltas::{DeltaArray, MAX_STORED_DELTAS};
 use crate::error::DecodeError;
+use crate::fold;
 use crate::layout::{BaseSize, ChunkLayout};
 use crate::register::{WarpRegister, WARP_REGISTER_BYTES, WARP_SIZE};
-use crate::simd::{kernels, kernels_for, scalar, Kernels, SimdTier};
 
 /// A BDI compressor/decompressor pair configured with a [`ChoiceSet`].
 ///
@@ -29,37 +27,15 @@ use crate::simd::{kernels, kernels_for, scalar, Kernels, SimdTier};
 /// assert_eq!(c.banks_required(), 1); // <4,0>
 /// assert_eq!(codec.decompress(&c), uniform);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BdiCodec {
     choices: ChoiceSet,
-    /// The SIMD kernel table the hot paths run on — resolved once at
-    /// construction from the process-wide dispatcher (or pinned by
-    /// [`with_tier`](BdiCodec::with_tier)).
-    kernels: &'static Kernels,
 }
 
 impl BdiCodec {
-    /// Creates a codec that tries the given choices in order, running on
-    /// the runtime-dispatched kernel tier (AVX2/NEON when the CPU has
-    /// them, scalar otherwise or under `WC_FORCE_SCALAR`).
+    /// Creates a codec that tries the given choices in order.
     pub fn new(choices: ChoiceSet) -> Self {
-        BdiCodec {
-            choices,
-            kernels: kernels(),
-        }
-    }
-
-    /// Creates a codec pinned to a specific kernel tier, or `None` when
-    /// the current CPU cannot run it. All tiers are bit-exact, so this
-    /// only exists for the dispatch-pinning tests and the scalar-vs-SIMD
-    /// benches.
-    pub fn with_tier(choices: ChoiceSet, tier: SimdTier) -> Option<Self> {
-        kernels_for(tier).map(|kernels| BdiCodec { choices, kernels })
-    }
-
-    /// The kernel tier this codec runs on.
-    pub fn tier(&self) -> SimdTier {
-        self.kernels.tier
+        BdiCodec { choices }
     }
 
     /// The configured choice set.
@@ -72,22 +48,20 @@ impl BdiCodec {
     /// disabled).
     ///
     /// This is a single sweep over the 32 lanes — the software analog of
-    /// the hardware's parallel subtractor/comparator array (Fig. 7),
-    /// running 8 lanes per instruction on AVX2 (4 on NEON): every lane is
-    /// subtracted from the base exactly once, two bitwise folds classify
-    /// the narrowest delta width that fits *all* lanes, and the first
-    /// choice at least that wide wins — without re-reading any lane.
-    /// Valid because every runtime choice uses a 4-byte base (so all
-    /// choices see the same deltas) and delta fit is monotone in width
-    /// (the nested-fit property of §4). No heap allocation occurs, and
-    /// every kernel tier produces bit-identical output.
+    /// the hardware's parallel subtractor/comparator array (Fig. 7):
+    /// every lane is subtracted from the base exactly once, two bitwise
+    /// folds classify the narrowest delta width that fits *all* lanes,
+    /// and the first choice at least that wide wins — without re-reading
+    /// any lane. Valid because every runtime choice uses a 4-byte base
+    /// (so all choices see the same deltas) and delta fit is monotone in
+    /// width (the nested-fit property of §4). No heap allocation occurs.
     pub fn compress(&self, reg: &WarpRegister) -> CompressedRegister {
         let lanes = reg.as_lanes();
         let mut vals = [0i32; MAX_STORED_DELTAS];
-        let (any_bits, magnitude) = self.kernels.sweep4(lanes, &mut vals);
+        let (any_bits, magnitude) = fold::sweep4(lanes, &mut vals);
         // `None` means not even 2-byte deltas fit — a 4-byte delta would
         // not shrink a 4-byte-base register.
-        let min_width = scalar::width4_of_fold(any_bits, magnitude);
+        let min_width = fold::width4_of_fold(any_bits, magnitude);
         for choice in self.choices.choices() {
             let layout = choice.layout();
             if min_width.is_some_and(|w| layout.delta_bytes() >= w) {
@@ -120,7 +94,7 @@ impl BdiCodec {
     pub fn classify(&self, reg: &WarpRegister) -> CompressionClass {
         let class = match self.choices.max_delta_bytes() {
             None => CompressionClass::Uncompressed,
-            Some(max_width) => match self.kernels.width4_bounded(reg.as_lanes(), max_width) {
+            Some(max_width) => match fold::width4_bounded(reg.as_lanes(), max_width) {
                 None => CompressionClass::Uncompressed,
                 Some(w) => self
                     .choices
@@ -162,10 +136,9 @@ impl BdiCodec {
     /// Reconstructs the original warp register.
     ///
     /// Decompression is a single wrapping add of each delta to the base
-    /// (§4), which is why the paper budgets only one cycle for it — and
-    /// why it vectorises into four adds on AVX2.
+    /// (§4), which is why the paper budgets only one cycle for it.
     pub fn decompress(&self, compressed: &CompressedRegister) -> WarpRegister {
-        decompress_with(self.kernels, compressed)
+        decompress(compressed)
     }
 
     /// Fallible decompression: validates the stored form first and
@@ -176,7 +149,7 @@ impl BdiCodec {
         compressed: &CompressedRegister,
     ) -> Result<WarpRegister, DecodeError> {
         compressed.validate()?;
-        Ok(decompress_with(self.kernels, compressed))
+        Ok(decompress(compressed))
     }
 }
 
@@ -185,27 +158,6 @@ impl Default for BdiCodec {
         BdiCodec::new(ChoiceSet::default())
     }
 }
-
-impl fmt::Debug for BdiCodec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BdiCodec")
-            .field("choices", &self.choices)
-            .field("tier", &self.kernels.tier)
-            .finish()
-    }
-}
-
-/// Codecs compare by configuration: choice set and kernel tier. (Manual
-/// impl because comparing the function table by pointer would be both
-/// meaningless and a clippy `unpredictable_function_pointer_comparisons`
-/// hazard.)
-impl PartialEq for BdiCodec {
-    fn eq(&self, other: &Self) -> bool {
-        self.choices == other.choices && self.kernels.tier == other.kernels.tier
-    }
-}
-
-impl Eq for BdiCodec {}
 
 /// Attempts to compress `reg` with one specific ⟨base, delta⟩ layout.
 ///
@@ -253,13 +205,7 @@ pub(crate) fn compress_with_layout(
 
 /// Decompresses any [`CompressedRegister`] (free function so callers
 /// without a codec, e.g. the decompressor unit model, can use it too).
-/// Runs on the process-wide dispatched kernel tier.
 pub(crate) fn decompress(compressed: &CompressedRegister) -> WarpRegister {
-    decompress_with(kernels(), compressed)
-}
-
-/// [`decompress`] on an explicit kernel table.
-fn decompress_with(k: &Kernels, compressed: &CompressedRegister) -> WarpRegister {
     match compressed {
         CompressedRegister::Uncompressed(reg) => *reg,
         CompressedRegister::Compressed {
@@ -268,7 +214,7 @@ fn decompress_with(k: &Kernels, compressed: &CompressedRegister) -> WarpRegister
             deltas,
         } => {
             // The three runtime choices all land here: a 4-byte base
-            // with the full 31 deltas takes the vector kernel. (The
+            // with the full 31 deltas takes `fold::decompress4`. (The
             // `raw_vals` buffer is valid in both storage forms — the
             // zeros form is all zeros.) Everything else — the explorer's
             // B8/B2/B1 layouts and fault-truncated delta arrays — keeps
@@ -276,7 +222,7 @@ fn decompress_with(k: &Kernels, compressed: &CompressedRegister) -> WarpRegister
             // malformed registers. The u32 cast of the base matches the
             // generic path's 4-byte chunk mask.
             if layout.base() == BaseSize::B4 && deltas.len() == WARP_SIZE - 1 {
-                return WarpRegister::new(k.decompress4(*base as u32, deltas.raw_vals()));
+                return WarpRegister::new(fold::decompress4(*base as u32, deltas.raw_vals()));
             }
             let chunk_bytes = layout.base().bytes();
             let mut bytes = [0u8; WARP_REGISTER_BYTES];

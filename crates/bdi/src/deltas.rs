@@ -193,8 +193,8 @@ impl DeltaArray {
     }
 
     /// Stored form adopting a full sweep buffer without re-copying it —
-    /// the constructor the SIMD compress path uses. Slots past `len`
-    /// must already be zero (the sweep kernels only write `len` slots
+    /// the constructor the single-pass compress path uses. Slots past
+    /// `len` must already be zero (the sweep only writes `len` slots
     /// into a zero-initialised buffer), preserving the invariant that
     /// unused slots are zero.
     pub(crate) fn from_raw(vals: [i32; MAX_STORED_DELTAS], len: u8) -> Self {
@@ -207,8 +207,8 @@ impl DeltaArray {
     }
 
     /// The full inline buffer, valid in both forms: zeros form holds all
-    /// zeros, stored form zero-fills past `len()`. Lets the SIMD
-    /// decompress kernel load fixed-width blocks without bounds checks.
+    /// zeros, stored form zero-fills past `len()`. Lets the 4-byte-base
+    /// decompress fold read a fixed-size array without bounds checks.
     pub(crate) fn raw_vals(&self) -> &[i32; MAX_STORED_DELTAS] {
         &self.vals
     }

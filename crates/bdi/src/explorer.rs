@@ -10,9 +10,9 @@
 use serde::Serialize;
 
 use crate::codec::{compress_with_layout, decompress};
+use crate::fold;
 use crate::layout::{BaseSize, ChunkLayout};
 use crate::register::WarpRegister;
-use crate::simd::{kernels, scalar};
 
 /// The seven ⟨base, delta⟩ parameter pairs the paper's explorer evaluates
 /// on every register write (§4): `<4,0>, <4,1>, <4,2>, <8,0>, <8,1>,
@@ -62,21 +62,19 @@ impl BestChoice {
 /// ```
 pub fn explore_best_choice(reg: &WarpRegister) -> BestChoice {
     // Two width folds over the register — 4-byte chunks (== lanes) and
-    // 8-byte chunks (lane pairs) — on the runtime-dispatched kernel
-    // tier: `bits` detects exact-zero deltas; `mag` folds the
-    // sign-folded pattern `d ^ (d >> n-1)`, which is < 2^(8w-1) exactly
-    // when every delta fits a w-byte signed value — the software analog
-    // of the hardware's parallel comparator array (Fig. 7). The fold→
-    // width decision lives in one shared scalar helper per chunk size,
-    // the same one the codec's compress path uses.
+    // 8-byte chunks (lane pairs): `bits` detects exact-zero deltas; `mag`
+    // folds the sign-folded pattern `d ^ (d >> n-1)`, which is
+    // < 2^(8w-1) exactly when every delta fits a w-byte signed value —
+    // the software analog of the hardware's parallel comparator array
+    // (Fig. 7). The fold→width decision is the same helper per chunk
+    // size that the codec's compress path uses.
     let lanes = reg.as_lanes();
-    let k = kernels();
-    let (bits4, mag4) = k.fold4(lanes);
-    let (bits8, mag8) = k.fold8(lanes);
+    let (bits4, mag4) = fold::fold4(lanes);
+    let (bits8, mag8) = fold::fold8(lanes);
     // Narrowest fitting delta width per base; any wider same-base layout
     // is strictly larger, so only these two candidates can win.
-    let width4 = scalar::width4_of_fold(bits4, mag4);
-    let width8 = scalar::width8_of_fold(bits8, mag8);
+    let width4 = fold::width4_of_fold(bits4, mag4);
+    let width8 = fold::width8_of_fold(bits8, mag8);
     let layout = |base, w: Option<usize>| {
         w.map(|w| ChunkLayout::new(base, w).expect("explorer widths are valid"))
     };

@@ -51,7 +51,7 @@ impl Pattern {
     }
 }
 
-pub(crate) const PREFIX_BITS: usize = 3;
+const PREFIX_BITS: usize = 3;
 const MAX_ZERO_RUN: usize = 8;
 
 fn fits_se(v: u32, bits: u32) -> bool {
@@ -86,13 +86,13 @@ fn classify(word: u32) -> Pattern {
     }
 }
 
-/// Scalar FPC scan kernel: total encoded bits of the non-zero words
-/// (prefix + payload each) plus the bitmask of zero words (bit *i* set ⇔
-/// word *i* is zero). The word classification is position-independent —
-/// only the zero-run encoding couples neighbouring words — so the scan
-/// vectorises, and the serial run-length cost is recovered from the mask
-/// by [`zero_run_bits`].
-pub(crate) fn fpc_scan_scalar(words: &[u32; WARP_SIZE]) -> (u32, u32) {
+/// FPC scan: total encoded bits of the non-zero words (prefix + payload
+/// each) plus the bitmask of zero words (bit *i* set ⇔ word *i* is
+/// zero). The word classification is position-independent — only the
+/// zero-run encoding couples neighbouring words — so the scan is one
+/// order-free pass, and the serial run-length cost is recovered from the
+/// mask by [`zero_run_bits`].
+fn fpc_scan(words: &[u32; WARP_SIZE]) -> (u32, u32) {
     let mut bits = 0u32;
     let mut zmask = 0u32;
     for (i, &word) in words.iter().enumerate() {
@@ -122,12 +122,11 @@ fn zero_run_bits(mut mask: u32) -> usize {
 
 /// FPC-compressed size of a word sequence, in bits.
 ///
-/// Full 32-word warp registers take the runtime-dispatched scan kernel
-/// (8 words per instruction on AVX2); other lengths fall back to the
-/// serial [`compressed_bits_reference`] loop.
+/// Full 32-word warp registers take a single order-free scan; other
+/// lengths fall back to the serial [`compressed_bits_reference`] loop.
 pub fn compressed_bits(words: &[u32]) -> usize {
     if let Ok(lanes) = <&[u32; WARP_SIZE]>::try_from(words) {
-        let (nonzero_bits, zmask) = crate::simd::kernels().fpc_scan(lanes);
+        let (nonzero_bits, zmask) = fpc_scan(lanes);
         let total = nonzero_bits as usize + zero_run_bits(zmask);
         debug_assert_eq!(total, compressed_bits_reference(words), "fpc scan oracle");
         return total;
@@ -138,7 +137,7 @@ pub fn compressed_bits(words: &[u32]) -> usize {
 /// Reference serial FPC sizing: walks the words in order, folding zero
 /// runs as it goes — the shape the original FPC hardware pipeline has.
 /// Kept as the oracle the property tests (and a `debug_assert` in
-/// [`compressed_bits`]) pin the vectorised scan against.
+/// [`compressed_bits`]) pin the single-pass scan against.
 pub fn compressed_bits_reference(words: &[u32]) -> usize {
     let mut bits = 0;
     let mut i = 0;

@@ -34,10 +34,7 @@
 //! assert_eq!(codec.decompress(&compressed), reg);
 //! ```
 
-// `deny` rather than `forbid`: the `simd` arch back-ends opt back in
-// with `#[allow(unsafe_code)]` for vendor intrinsics behind runtime
-// feature detection; everything else stays safe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod choice;
@@ -46,10 +43,10 @@ mod compressed;
 mod deltas;
 mod error;
 mod explorer;
+mod fold;
 pub mod fpc;
 mod layout;
 mod register;
-mod simd;
 
 pub use choice::{ChoiceSet, CompressionClass, CompressionIndicator, FixedChoice};
 pub use codec::BdiCodec;
@@ -61,4 +58,3 @@ pub use explorer::{
 };
 pub use layout::{table_one, BaseSize, ChunkLayout, TableOneRow, BANK_BYTES, TABLE_ONE};
 pub use register::{WarpRegister, WARP_REGISTER_BYTES, WARP_SIZE};
-pub use simd::SimdTier;

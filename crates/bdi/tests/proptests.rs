@@ -1,8 +1,8 @@
 //! Property-based tests for the BDI codec invariants.
 
 use bdi::{
-    explore_best_choice, explore_best_choice_reference, BdiCodec, ChoiceSet, CompressionIndicator,
-    FixedChoice, WarpRegister, BANK_BYTES, WARP_REGISTER_BYTES, WARP_SIZE,
+    explore_best_choice, explore_best_choice_reference, fpc, BdiCodec, ChoiceSet,
+    CompressionIndicator, FixedChoice, WarpRegister, BANK_BYTES, WARP_REGISTER_BYTES, WARP_SIZE,
 };
 use proptest::prelude::*;
 
@@ -28,6 +28,96 @@ fn arb_similar_register() -> impl Strategy<Value = WarpRegister> {
             })
         },
     )
+}
+
+/// Pins every single-pass path against its multi-pass oracle on one
+/// register, for one codec per choice set: the compressed form, both
+/// round trips, the early-exit class and footprint, the explorer and the
+/// FPC scan.
+fn assert_oracle_pins(reg: &WarpRegister) {
+    for set in all_choice_sets() {
+        let codec = BdiCodec::new(set);
+        let compressed = codec.compress(reg);
+        assert_eq!(
+            compressed,
+            codec.compress_reference(reg),
+            "{codec:?} vs the multi-pass oracle"
+        );
+        assert_eq!(codec.decompress(&compressed), *reg, "{codec:?} round trip");
+        assert_eq!(
+            codec.try_decompress(&compressed).as_ref(),
+            Ok(reg),
+            "{codec:?} validated round trip"
+        );
+        assert_eq!(
+            codec.classify(reg),
+            compressed.class(),
+            "{codec:?} classify"
+        );
+        assert_eq!(
+            codec.footprint(reg),
+            compressed.banks_required(),
+            "{codec:?} footprint"
+        );
+    }
+    assert_eq!(
+        explore_best_choice(reg),
+        explore_best_choice_reference(reg),
+        "explorer oracle"
+    );
+    assert_eq!(
+        fpc::compressed_bits(reg.as_lanes()),
+        fpc::compressed_bits_reference(reg.as_lanes()),
+        "fpc scan oracle"
+    );
+}
+
+/// Adversarial fixtures: every width boundary the classification can sit
+/// on, wraparound bases, mixed-width lanes and zero-run shapes for FPC.
+fn adversarial_registers() -> Vec<WarpRegister> {
+    let mut regs = vec![
+        WarpRegister::ZERO,
+        WarpRegister::splat(u32::MAX),
+        WarpRegister::splat(0x8000_0000),
+        WarpRegister::from_fn(|t| t as u32),
+        WarpRegister::from_fn(|t| u32::MAX.wrapping_add(t as u32)),
+        WarpRegister::from_fn(|t| (t as u32).wrapping_mul(0x9E37_79B9)),
+        // Mixed widths: alternating 1-byte and 2-byte deltas.
+        WarpRegister::from_fn(|t| 600 + if t % 2 == 0 { t as u32 } else { 400 + t as u32 }),
+        // Pairwise 64-bit similarity (exercises the explorer's B8 path).
+        WarpRegister::from_fn(|t| if t % 2 == 0 { 0 } else { 0x7000_0000 }),
+        // FPC zero runs longer than one 8-word run encoding, and
+        // periodic single zeros.
+        WarpRegister::from_fn(|t| if (4..23).contains(&t) { 0 } else { 77 }),
+        WarpRegister::from_fn(|t| if t % 3 == 0 { 0 } else { 0x0045_FFFF }),
+    ];
+    // A single outlier lane at each signed-width boundary, in the first
+    // and last delta lanes and on both sides of the early-exit
+    // classify's first 8-lane block edge (lanes 7 and 8).
+    for lane in [1usize, 7, 8, 30, 31] {
+        for outlier in [
+            127u32,
+            128,
+            0x7FFF,
+            0x8000,
+            -128i32 as u32,
+            -129i32 as u32,
+            -32768i32 as u32,
+            -32769i32 as u32,
+        ] {
+            let mut reg = WarpRegister::splat(1000);
+            reg.set_lane(lane, 1000u32.wrapping_add(outlier));
+            regs.push(reg);
+        }
+    }
+    regs
+}
+
+#[test]
+fn oracles_pin_on_adversarial_registers() {
+    for reg in adversarial_registers() {
+        assert_oracle_pins(&reg);
+    }
 }
 
 proptest! {
@@ -128,27 +218,33 @@ proptest! {
     /// The single-pass compressor is bit-identical to the multi-pass
     /// reference oracle — same choice of layout, same base, same deltas,
     /// same bank footprint — for every choice-set shape, on uniformly
-    /// random registers.
+    /// random registers; classify, footprint, the round trips, the
+    /// explorer and the FPC scan agree with their oracles too.
     #[test]
     fn single_pass_matches_oracle(reg in arb_register()) {
-        for set in all_choice_sets() {
-            let codec = BdiCodec::new(set);
-            let fast = codec.compress(&reg);
-            let slow = codec.compress_reference(&reg);
-            prop_assert_eq!(fast.layout(), slow.layout());
-            prop_assert_eq!(fast.banks_required(), slow.banks_required());
-            prop_assert_eq!(fast, slow); // covers base and deltas too
-        }
+        assert_oracle_pins(&reg);
     }
 
     /// Oracle equivalence on the similarity-biased distribution, which
     /// actually lands in each of the three compressed layouts.
     #[test]
     fn single_pass_matches_oracle_similar(reg in arb_similar_register()) {
-        for set in all_choice_sets() {
-            let codec = BdiCodec::new(set);
-            prop_assert_eq!(codec.compress(&reg), codec.compress_reference(&reg));
-        }
+        assert_oracle_pins(&reg);
+    }
+
+    /// Sign-boundary adversary: a splat with one outlier lane whose
+    /// delta is drawn tightly around the 1-/2-byte signed limits.
+    #[test]
+    fn oracles_pin_on_sign_boundary_outliers(
+        base in any::<u32>(),
+        lane in 1usize..WARP_SIZE,
+        boundary in prop::sample::select(vec![0i64, 127, 128, 255, 32767, 32768, 65535]),
+        sign in any::<bool>(),
+    ) {
+        let delta = if sign { -boundary } else { boundary };
+        let mut reg = WarpRegister::splat(base);
+        reg.set_lane(lane, base.wrapping_add(delta as u32));
+        assert_oracle_pins(&reg);
     }
 
     /// The reference path itself round-trips, so agreement with it is

@@ -1,18 +1,17 @@
-//! Criterion suite: BDI codec throughput, scalar vs the dispatched SIMD
-//! tier, in GiB/s of warp-register payload (128 bytes per operation).
+//! Criterion suite: BDI codec throughput in GiB/s of warp-register
+//! payload (128 bytes per operation).
 //!
 //! Four input patterns span the compression classes: `uniform` (⟨4,0⟩),
 //! `lane-affine` (⟨4,1⟩, the thread-index pattern), `narrow-range`
 //! (⟨4,2⟩ wide strides) and `incompressible` (random lanes, stored
 //! uncompressed). Each is measured through `compress`, `decompress` and
-//! the early-exit `classify` on every kernel tier the host CPU can run,
-//! plus the full-BDI explorer and the FPC scan on the active tier.
+//! the early-exit `classify` of the warped-compression codec, plus the
+//! full-BDI explorer and the FPC scan.
 //!
 //! Run `cargo bench --bench codec`; `CRITERION_FAST=1` (or `--test`)
-//! reduces it to a smoke pass. `results/BENCH_simd.json` is recorded
-//! separately by the `bench_simd` binary.
+//! reduces it to a smoke pass.
 
-use bdi::{BdiCodec, ChoiceSet, SimdTier, WarpRegister, WARP_REGISTER_BYTES};
+use bdi::{BdiCodec, ChoiceSet, WarpRegister, WARP_REGISTER_BYTES};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -28,28 +27,14 @@ fn patterns() -> Vec<(&'static str, WarpRegister)> {
     ]
 }
 
-/// One codec per tier the host can run (scalar always, AVX2/NEON when
-/// detected) — all bit-exact, so the deltas here are pure throughput.
-fn tier_codecs() -> Vec<BdiCodec> {
-    SimdTier::ALL
-        .iter()
-        .filter_map(|&tier| BdiCodec::with_tier(ChoiceSet::warped_compression(), tier))
-        .collect()
-}
-
 fn bench_compress(c: &mut Criterion) {
     let mut group = c.benchmark_group("codec/compress");
     group.throughput(Throughput::Bytes(WARP_REGISTER_BYTES as u64));
-    for codec in tier_codecs() {
-        for (name, reg) in patterns() {
-            group.bench_with_input(
-                BenchmarkId::new(codec.tier().name(), name),
-                &reg,
-                |b, reg| {
-                    b.iter(|| black_box(codec.compress(black_box(reg))));
-                },
-            );
-        }
+    let codec = BdiCodec::new(ChoiceSet::warped_compression());
+    for (name, reg) in patterns() {
+        group.bench_with_input(BenchmarkId::from_parameter(name), &reg, |b, reg| {
+            b.iter(|| black_box(codec.compress(black_box(reg))));
+        });
     }
     group.finish();
 }
@@ -57,17 +42,16 @@ fn bench_compress(c: &mut Criterion) {
 fn bench_decompress(c: &mut Criterion) {
     let mut group = c.benchmark_group("codec/decompress");
     group.throughput(Throughput::Bytes(WARP_REGISTER_BYTES as u64));
-    for codec in tier_codecs() {
-        for (name, reg) in patterns() {
-            let compressed = codec.compress(&reg);
-            group.bench_with_input(
-                BenchmarkId::new(codec.tier().name(), name),
-                &compressed,
-                |b, compressed| {
-                    b.iter(|| black_box(codec.decompress(black_box(compressed))));
-                },
-            );
-        }
+    let codec = BdiCodec::new(ChoiceSet::warped_compression());
+    for (name, reg) in patterns() {
+        let compressed = codec.compress(&reg);
+        group.bench_with_input(
+            BenchmarkId::from_parameter(name),
+            &compressed,
+            |b, compressed| {
+                b.iter(|| black_box(codec.decompress(black_box(compressed))));
+            },
+        );
     }
     group.finish();
 }
@@ -75,16 +59,11 @@ fn bench_decompress(c: &mut Criterion) {
 fn bench_classify(c: &mut Criterion) {
     let mut group = c.benchmark_group("codec/classify");
     group.throughput(Throughput::Bytes(WARP_REGISTER_BYTES as u64));
-    for codec in tier_codecs() {
-        for (name, reg) in patterns() {
-            group.bench_with_input(
-                BenchmarkId::new(codec.tier().name(), name),
-                &reg,
-                |b, reg| {
-                    b.iter(|| black_box(codec.classify(black_box(reg))));
-                },
-            );
-        }
+    let codec = BdiCodec::new(ChoiceSet::warped_compression());
+    for (name, reg) in patterns() {
+        group.bench_with_input(BenchmarkId::from_parameter(name), &reg, |b, reg| {
+            b.iter(|| black_box(codec.classify(black_box(reg))));
+        });
     }
     group.finish();
 }

@@ -9,7 +9,7 @@
 //! Rust's shortest-round-trip formatter — so a document is
 //! byte-identical across runs and resumed checkpoint fragments can be
 //! spliced in verbatim. Public so the workspace's report-writing
-//! binaries (e.g. `bench_simd`) share it too.
+//! binaries (e.g. `wcperf`) share it too.
 
 use std::fmt::Display;
 
