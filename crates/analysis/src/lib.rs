@@ -411,9 +411,7 @@ fn structural_lints(instrs: &[Instruction], num_regs: u8, diags: &mut Vec<Diagno
         return;
     }
     for (pc, instr) in instrs.iter().enumerate() {
-        let mut regs = instr.src_regs();
-        regs.extend(instr.dst());
-        for r in regs {
+        for r in instr.src_regs().into_iter().chain(instr.dst()) {
             if r.index() >= usize::from(num_regs) {
                 diags.push(Diagnostic::new(
                     LintKind::RegisterOutOfRange,

@@ -220,6 +220,70 @@ pub enum ControlFlow {
     Exit,
 }
 
+/// The source registers of one instruction, in operand order: at most
+/// two, held inline. It is `Copy` and derefs to a slice, so asking an
+/// instruction for its sources — which the engines do on every issue
+/// attempt — allocates nothing.
+#[derive(Clone, Copy)]
+pub struct SrcSet<T> {
+    regs: [T; 2],
+    len: u8,
+}
+
+impl<T: Copy + Default> SrcSet<T> {
+    fn new() -> Self {
+        SrcSet {
+            regs: [T::default(); 2],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, r: T) {
+        self.regs[usize::from(self.len)] = r;
+        self.len += 1;
+    }
+}
+
+impl<T: Copy + Default> Extend<T> for SrcSet<T> {
+    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+        for r in iter {
+            self.push(r);
+        }
+    }
+}
+
+impl<T> std::ops::Deref for SrcSet<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.regs[..usize::from(self.len)]
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for SrcSet<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<T> IntoIterator for SrcSet<T> {
+    type Item = T;
+    type IntoIter = std::iter::Take<std::array::IntoIter<T, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.regs.into_iter().take(usize::from(self.len))
+    }
+}
+
+impl<'a, T> IntoIterator for &'a SrcSet<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 impl Instruction {
     /// Destination register, if the instruction writes one. Register
     /// writes are exactly the events warped-compression compresses.
@@ -234,21 +298,23 @@ impl Instruction {
 
     /// Source registers read through the operand collector (at most two,
     /// which is what sizes the decompressor pool in §5.1).
-    pub fn src_regs(&self) -> Vec<Reg> {
+    pub fn src_regs(&self) -> SrcSet<Reg> {
+        let mut srcs = SrcSet::new();
         match self {
-            Instruction::Mov { src, .. } => src.reg().into_iter().collect(),
-            Instruction::Alu { a, b, .. } => a.reg().into_iter().chain(b.reg()).collect(),
-            Instruction::Ld { base, .. } => vec![*base],
-            Instruction::St { base, src, .. } => vec![*base, *src],
-            Instruction::Bra { pred, .. } => vec![*pred],
-            Instruction::Jmp { .. } | Instruction::Exit => Vec::new(),
+            Instruction::Mov { src, .. } => srcs.extend(src.reg()),
+            Instruction::Alu { a, b, .. } => srcs.extend(a.reg().into_iter().chain(b.reg())),
+            Instruction::Ld { base, .. } => srcs.push(*base),
+            Instruction::St { base, src, .. } => srcs.extend([*base, *src]),
+            Instruction::Bra { pred, .. } => srcs.push(*pred),
+            Instruction::Jmp { .. } | Instruction::Exit => {}
         }
+        srcs
     }
 
     /// Distinct source registers in first-use order: one operand-
     /// collector fetch each, the order every engine fetches them in.
-    pub fn unique_srcs(&self) -> Vec<usize> {
-        let mut srcs: Vec<usize> = Vec::new();
+    pub fn unique_srcs(&self) -> SrcSet<usize> {
+        let mut srcs = SrcSet::new();
         for r in self.src_regs() {
             if !srcs.contains(&r.index()) {
                 srcs.push(r.index());
@@ -365,7 +431,7 @@ mod tests {
             b: Reg(3).into(),
         };
         assert_eq!(i.dst(), Some(Reg(1)));
-        assert_eq!(i.src_regs(), vec![Reg(2), Reg(3)]);
+        assert_eq!(*i.src_regs(), [Reg(2), Reg(3)]);
 
         let st = Instruction::St {
             base: Reg(4),
@@ -373,14 +439,14 @@ mod tests {
             src: Reg(5),
         };
         assert_eq!(st.dst(), None);
-        assert_eq!(st.src_regs(), vec![Reg(4), Reg(5)]);
+        assert_eq!(*st.src_regs(), [Reg(4), Reg(5)]);
 
         let bra = Instruction::Bra {
             pred: Reg(6),
             target: 0,
             reconv: 1,
         };
-        assert_eq!(bra.src_regs(), vec![Reg(6)]);
+        assert_eq!(*bra.src_regs(), [Reg(6)]);
     }
 
     #[test]
@@ -391,19 +457,19 @@ mod tests {
             a: Reg(1).into(),
             b: Reg(1).into(),
         };
-        assert_eq!(add.unique_srcs(), vec![1]);
+        assert_eq!(*add.unique_srcs(), [1]);
         let st = Instruction::St {
             base: Reg(4),
             offset: 0,
             src: Reg(4),
         };
-        assert_eq!(st.unique_srcs(), vec![4]);
+        assert_eq!(*st.unique_srcs(), [4]);
         let ld = Instruction::Ld {
             dst: Reg(0),
             base: Reg(3),
             offset: 1,
         };
-        assert_eq!(ld.unique_srcs(), vec![3]);
+        assert_eq!(*ld.unique_srcs(), [3]);
         assert!(Instruction::Exit.unique_srcs().is_empty());
     }
 

@@ -38,9 +38,7 @@ impl Kernel {
             return Err(KernelError::Empty);
         }
         for (pc, instr) in instrs.iter().enumerate() {
-            let mut regs = instr.src_regs();
-            regs.extend(instr.dst());
-            for r in regs {
+            for r in instr.src_regs().into_iter().chain(instr.dst()) {
                 if r.index() >= num_regs as usize {
                     return Err(KernelError::RegisterOutOfRange {
                         pc,

@@ -47,7 +47,7 @@ mod simt;
 
 pub use asm::{assemble, to_asm, write_asm, AsmError, AsmErrorKind};
 pub use builder::{BuildError, KernelBuilder, Label};
-pub use instr::{AluOp, ControlFlow, Instruction, LatencyClass};
+pub use instr::{AluOp, ControlFlow, Instruction, LatencyClass, SrcSet};
 pub use kernel::{Kernel, KernelError};
 pub use operand::{Operand, Reg, Special};
 pub use simt::{taken_mask, SimtStack, WarpCoords, WARP_SIZE};

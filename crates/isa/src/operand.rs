@@ -9,7 +9,9 @@ use serde::{Deserialize, Serialize};
 /// Each thread of the warp holds its own 32-bit value for this register;
 /// the set of 32 values is the *warp register* that warped-compression
 /// compresses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(
+    Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
+)]
 pub struct Reg(pub u8);
 
 impl Reg {

@@ -34,7 +34,7 @@ const _: () = assert!(WARP_SIZE == bdi::WARP_SIZE);
 
 /// One source operand of an instruction in operand collection: the
 /// register, and its decompressed value once fetched.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct Fetch {
     pub(crate) reg: usize,
     pub(crate) value: Option<WarpRegister>,

@@ -218,30 +218,29 @@ fn validate_plan(
         let mut reader_release = vec![0u64; num_regs];
         let mut mem_release = 0u64;
         for (i, s) in w.steps.iter().enumerate() {
-            let at = format!("step {i}");
             let Some(instr) = instrs.get(s.pc) else {
-                return Err(plan_err_at(gid, s.pc, format!("{at}: pc out of range")));
+                return Err(plan_err_at(gid, s.pc, format!("step {i}: pc out of range")));
             };
             if s.mask == 0 || s.mask & !full_mask != 0 {
                 return Err(plan_err_at(
                     gid,
                     s.pc,
-                    format!("{at}: mask {:#x} invalid", s.mask),
+                    format!("step {i}: mask {:#x} invalid", s.mask),
                 ));
             }
             let srcs = instr.unique_srcs();
-            if s.sources != srcs {
+            if *s.sources != *srcs {
                 return Err(plan_err_at(
                     gid,
                     s.pc,
-                    format!("{at}: operand order mismatch"),
+                    format!("step {i}: operand order mismatch"),
                 ));
             }
             if s.dst != instr.dst().map(|d| d.index()) {
                 return Err(plan_err_at(
                     gid,
                     s.pc,
-                    format!("{at}: destination mismatch"),
+                    format!("step {i}: destination mismatch"),
                 ));
             }
             let expect_comp = s.dst.is_some()
@@ -251,7 +250,7 @@ fn validate_plan(
                 return Err(plan_err_at(
                     gid,
                     s.pc,
-                    format!("{at}: compressor routing mismatch"),
+                    format!("step {i}: compressor routing mismatch"),
                 ));
             }
             let want_comp = if s.compresses {
@@ -263,14 +262,14 @@ fn validate_plan(
                 return Err(plan_err_at(
                     gid,
                     s.pc,
-                    format!("{at}: compressor latency mismatch"),
+                    format!("step {i}: compressor latency mismatch"),
                 ));
             }
             if s.decomp_cycles != 0 && s.decomp_cycles != comp.decompression_latency {
                 return Err(plan_err_at(
                     gid,
                     s.pc,
-                    format!("{at}: decompressor latency mismatch"),
+                    format!("step {i}: decompressor latency mismatch"),
                 ));
             }
 
@@ -286,7 +285,7 @@ fn validate_plan(
             }
             if s.issue < earliest.max(w.launch_cycle) {
                 return Err(plan_err(format!(
-                    "{at}: issue at {} violates a hazard window (earliest {})",
+                    "step {i}: issue at {} violates a hazard window (earliest {})",
                     s.issue,
                     earliest.max(w.launch_cycle)
                 )));
@@ -301,7 +300,7 @@ fn validate_plan(
                         return Err(plan_err_at(
                             gid,
                             s.pc,
-                            format!("{at}: control-only step dispatches"),
+                            format!("step {i}: control-only step dispatches"),
                         ));
                     }
                     next_issue = s.issue + 1;
@@ -310,7 +309,7 @@ fn validate_plan(
                     let dispatch = s.issue + (srcs.len() as u64).max(1);
                     if s.dispatch != Some(dispatch) {
                         return Err(plan_err(format!(
-                            "{at}: dispatch {:?} should be {dispatch} (serialized fetches)",
+                            "step {i}: dispatch {:?} should be {dispatch} (serialized fetches)",
                             s.dispatch
                         )));
                     }
@@ -326,14 +325,18 @@ fn validate_plan(
                                 return Err(plan_err_at(
                                     gid,
                                     s.pc,
-                                    format!("{at}: branch retires"),
+                                    format!("step {i}: branch retires"),
                                 ));
                             }
                             next_issue = dispatch;
                         }
                         Instruction::St { .. } => {
                             if s.retire.is_some() {
-                                return Err(plan_err_at(gid, s.pc, format!("{at}: store retires")));
+                                return Err(plan_err_at(
+                                    gid,
+                                    s.pc,
+                                    format!("step {i}: store retires"),
+                                ));
                             }
                             next_issue = s.issue + 1;
                         }
@@ -344,7 +347,7 @@ fn validate_plan(
                                 + s.comp_cycles;
                             if s.retire != Some(retire) {
                                 return Err(plan_err(format!(
-                                    "{at}: retire {:?} should be {retire}",
+                                    "step {i}: retire {:?} should be {retire}",
                                     s.retire
                                 )));
                             }
@@ -361,7 +364,7 @@ fn validate_plan(
             let last = s.retire.or(s.dispatch).unwrap_or(s.issue);
             if last >= w.free_cycle {
                 return Err(plan_err(format!(
-                    "{at}: event at {last} past slot free at {}",
+                    "step {i}: event at {last} past slot free at {}",
                     w.free_cycle
                 )));
             }

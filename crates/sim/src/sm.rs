@@ -8,14 +8,14 @@ use std::mem;
 
 use bdi::{CompressedRegister, CompressionClass, WarpRegister};
 use gpu_regfile::{BankPorts, RegFileError, WarpSlot, WriteError};
-use simt_isa::{Instruction, Kernel, LatencyClass, Operand};
+use simt_isa::{Instruction, Kernel, LatencyClass, Operand, SrcSet};
 
 use crate::config::{DivergencePolicy, GpuConfig, SchedulerPolicy};
 use crate::datapath::{self, Datapath, Effect, Fetch, Lanes, PendingWrite};
 use crate::launch::LaunchConfig;
 use crate::memory::{GlobalMemory, MemoryFault};
 use crate::scoreboard::Scoreboard;
-use crate::stats::{MemEvent, SimStats, StallCause, WriteEvent};
+use crate::stats::{MemEvent, PcMemTraffic, PcStalls, SimStats, StallCause, WriteEvent};
 use crate::warp::WarpState;
 
 /// Simulation failures.
@@ -360,12 +360,21 @@ struct Collector {
     mask: u32,
     divergent: bool,
     synthetic: bool,
-    fetches: Vec<Fetch>,
+    /// The distinct source registers, in fetch order.
+    srcs: SrcSet<usize>,
+    /// One fetch per source; only the first `srcs.len()` are in use.
+    fetches: [Fetch; 2],
     /// Extra result latency from decompressing compressed operands: the
     /// decompressor sits *between* the register file and the execution
     /// units (Fig. 1), a pipelined stage that lengthens the dependent
     /// path without holding the collector.
     decomp_extra: u64,
+}
+
+impl Collector {
+    fn operands(&self) -> &[Fetch] {
+        &self.fetches[..self.srcs.len()]
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -402,14 +411,26 @@ struct Engine<'a, 'p> {
     scoreboard: Scoreboard,
     warps: Vec<Option<WarpState>>,
     collectors: Vec<Option<Collector>>,
+    /// In-flight results, oldest first: the order compressor slots and
+    /// write ports are offered in.
     writebacks: Vec<WbEntry>,
     sched_last: Vec<Option<usize>>,
+    /// Resident slots, oldest launch first: the GTO priority order.
+    by_age: Vec<usize>,
+    /// Scratch buffer for one scheduler's candidate order, reused every
+    /// cycle.
+    order: Vec<usize>,
+    /// Stall counters indexed by pc, folded into `stats.stalls` at run
+    /// end.
+    pc_stalls: Vec<PcStalls>,
+    /// Coalescer traffic indexed by pc, folded into `stats.mem` at run
+    /// end.
+    pc_mem: Vec<PcMemTraffic>,
     now: u64,
     comp_starts: usize,
     decomp_starts: usize,
     next_block: usize,
     last_block: usize,
-    launch_seq: u64,
     stats: SimStats,
     last_progress: u64,
     /// Independent RAW/WAW/WAR re-check of every issue/capture/retire.
@@ -439,17 +460,20 @@ impl<'a, 'p> Engine<'a, 'p> {
         }
         Ok(Engine {
             ports: BankPorts::new(cfg.regfile.num_banks),
-            scoreboard: Scoreboard::new(),
+            scoreboard: Scoreboard::new(max_resident, datapath::num_regs(kernel)),
             warps: vec![None; max_resident],
             collectors: vec![None; cfg.num_collectors],
             writebacks: Vec::new(),
             sched_last: vec![None; cfg.num_schedulers],
+            by_age: Vec::with_capacity(max_resident),
+            order: Vec::with_capacity(max_resident),
+            pc_stalls: vec![PcStalls::default(); kernel.len()],
+            pc_mem: vec![PcMemTraffic::default(); kernel.len()],
             now: 0,
             comp_starts: 0,
             decomp_starts: 0,
             next_block: block_range.start,
             last_block: block_range.end,
-            launch_seq: 0,
             stats: SimStats::default(),
             last_progress: 0,
             #[cfg(feature = "sanitize")]
@@ -497,6 +521,8 @@ impl<'a, 'p> Engine<'a, 'p> {
         self.stats.cycles = self.now;
         self.stats.regfile = self.dp.regfile.stats(self.now);
         self.stats.gating = self.cfg.regfile.gating;
+        self.stats.stalls.by_pc = nonzero_by_pc(&self.pc_stalls);
+        self.stats.mem.by_pc = nonzero_by_pc(&self.pc_mem);
         Ok(SimResult {
             stats: mem::take(&mut self.stats),
         })
@@ -516,19 +542,24 @@ impl<'a, 'p> Engine<'a, 'p> {
             if self.next_block >= self.last_block {
                 return Ok(());
             }
-            let free: Vec<usize> = (0..self.warps.len())
-                .filter(|&s| self.warps[s].is_none())
-                .take(wpb)
-                .collect();
-            if free.len() < wpb {
+            if self.warps.iter().filter(|w| w.is_none()).count() < wpb {
                 return Ok(());
             }
+            // The block's warps take the lowest free slots, in order.
             let block = self.next_block;
-            for (w, &slot) in free.iter().enumerate() {
+            let mut w = 0;
+            for slot in 0..self.warps.len() {
+                if w == wpb {
+                    break;
+                }
+                if self.warps[slot].is_some() {
+                    continue;
+                }
                 self.dp.allocate(slot, self.now)?;
                 let full_mask = self.launch.coords(block, w).full_mask();
-                self.warps[slot] = Some(WarpState::new(slot, block, w, full_mask, self.launch_seq));
-                self.launch_seq += 1;
+                self.warps[slot] = Some(WarpState::new(slot, block, w, full_mask));
+                self.by_age.push(slot);
+                w += 1;
             }
             self.next_block += 1;
         }
@@ -550,6 +581,7 @@ impl<'a, 'p> Engine<'a, 'p> {
                 }
                 self.dp.free(s, self.now);
                 self.warps[s] = None;
+                self.by_age.retain(|&x| x != s);
             }
         }
     }
@@ -560,8 +592,9 @@ impl<'a, 'p> Engine<'a, 'p> {
 
     fn issue_stage(&mut self) {
         for s in 0..self.cfg.num_schedulers {
-            let order = self.schedule_order(s);
-            for slot in order {
+            self.schedule_order(s);
+            for i in 0..self.order.len() {
+                let slot = self.order[i];
                 if self.try_issue(slot) {
                     self.sched_last[s] = Some(slot);
                     self.last_progress = self.now;
@@ -571,28 +604,32 @@ impl<'a, 'p> Engine<'a, 'p> {
         }
     }
 
-    /// Candidate warps of scheduler `s`, in policy priority order.
-    fn schedule_order(&self, s: usize) -> Vec<usize> {
-        let mut slots: Vec<usize> = (0..self.warps.len())
-            .filter(|&slot| slot % self.cfg.num_schedulers == s)
-            .filter(|&slot| matches!(&self.warps[slot], Some(w) if !w.is_done() && !w.blocked))
-            .collect();
+    /// Fills `self.order` with the candidate warps of scheduler `s`, in
+    /// policy priority order.
+    fn schedule_order(&mut self, s: usize) {
+        let n = self.cfg.num_schedulers;
+        let warps = &self.warps;
+        let ready = |slot: usize| matches!(&warps[slot], Some(w) if !w.is_done() && !w.blocked);
+        let slots = &mut self.order;
+        slots.clear();
         match self.cfg.scheduler {
             SchedulerPolicy::Gto => {
-                slots.sort_by_key(|&slot| {
-                    self.warps[slot]
-                        .as_ref()
-                        .map(|w| w.launch_seq)
-                        .unwrap_or(u64::MAX)
-                });
+                // Greedy-then-oldest: the last issuer first, the rest
+                // oldest launch first.
+                slots.extend(
+                    self.by_age
+                        .iter()
+                        .copied()
+                        .filter(|&slot| slot % n == s && ready(slot)),
+                );
                 if let Some(last) = self.sched_last[s] {
                     if let Some(pos) = slots.iter().position(|&x| x == last) {
-                        let greedy = slots.remove(pos);
-                        slots.insert(0, greedy);
+                        slots[..=pos].rotate_right(1);
                     }
                 }
             }
             SchedulerPolicy::Lrr => {
+                slots.extend((s..warps.len()).step_by(n).filter(|&slot| ready(slot)));
                 if let Some(last) = self.sched_last[s] {
                     // Rotate so iteration starts just after `last`.
                     let split = slots.iter().position(|&x| x > last).unwrap_or(0);
@@ -600,7 +637,6 @@ impl<'a, 'p> Engine<'a, 'p> {
                 }
             }
         }
-        slots
     }
 
     /// Attempts to issue one instruction from the warp in `slot`.
@@ -641,7 +677,7 @@ impl<'a, 'p> Engine<'a, 'p> {
         let srcs = actual.unique_srcs();
         let dst = actual.dst().map(|r| r.index());
         if !self.scoreboard.can_issue(slot, &srcs, dst) {
-            self.stats.stalls.record(pc, StallCause::Scoreboard);
+            self.pc_stalls[pc].record(StallCause::Scoreboard);
             return false;
         }
         // LSU ordering: memory effects happen at dispatch, so a new
@@ -649,7 +685,7 @@ impl<'a, 'p> Engine<'a, 'p> {
         // dispatched — otherwise same-address accesses could reorder.
         let is_mem = actual.latency_class() == LatencyClass::Memory;
         if is_mem && self.warps[slot].as_ref().expect("checked").pending_mem > 0 {
-            self.stats.stalls.record(pc, StallCause::Scoreboard);
+            self.pc_stalls[pc].record(StallCause::Scoreboard);
             return false;
         }
 
@@ -668,7 +704,7 @@ impl<'a, 'p> Engine<'a, 'p> {
             }
             _ => {
                 let Some(ci) = self.collectors.iter().position(Option::is_none) else {
-                    self.stats.stalls.record(pc, StallCause::CollectorFull);
+                    self.pc_stalls[pc].record(StallCause::CollectorFull);
                     return false;
                 };
                 self.scoreboard.issue(slot, &srcs, dst);
@@ -684,7 +720,10 @@ impl<'a, 'p> Engine<'a, 'p> {
                     _ if synthetic => {} // pc unchanged; real instruction issues later
                     _ => warp.stack.advance(),
                 }
-                let fetches = srcs.iter().map(|&reg| Fetch { reg, value: None }).collect();
+                let fetches = [0, 1].map(|i| Fetch {
+                    reg: srcs.get(i).copied().unwrap_or_default(),
+                    value: None,
+                });
                 self.collectors[ci] = Some(Collector {
                     slot,
                     pc,
@@ -692,6 +731,7 @@ impl<'a, 'p> Engine<'a, 'p> {
                     mask: actual_mask,
                     divergent,
                     synthetic,
+                    srcs,
                     fetches,
                     decomp_extra: 0,
                 });
@@ -718,24 +758,29 @@ impl<'a, 'p> Engine<'a, 'p> {
 
     fn collector_stage(&mut self) -> Result<(), SimError> {
         for ci in 0..self.collectors.len() {
-            let Some(mut c) = self.collectors[ci].take() else {
+            if self.collectors[ci].is_none() {
                 continue;
-            };
-            self.fetch_operands(&mut c)?;
-            if c.fetches.iter().all(|f| f.value.is_some()) {
+            }
+            if self.fetch_operands(ci)? {
+                let c = self.collectors[ci].take().expect("checked");
                 self.dispatch(c)?;
                 self.last_progress = self.now;
-            } else {
-                self.collectors[ci] = Some(c);
             }
         }
         Ok(())
     }
 
-    fn fetch_operands(&mut self, c: &mut Collector) -> Result<(), SimError> {
+    /// Fetches what it can of collector `ci`'s missing operands, in
+    /// place, and says whether all of them are now in.
+    fn fetch_operands(&mut self, ci: usize) -> Result<bool, SimError> {
+        let c = self.collectors[ci].as_mut().expect("occupied collector");
         let cluster = c.slot % self.cfg.regfile.num_clusters();
         let bank_base = cluster * self.cfg.regfile.banks_per_cluster;
-        for f in c.fetches.iter_mut().filter(|f| f.value.is_none()) {
+        let mut complete = true;
+        for f in c.fetches[..c.srcs.len()].iter_mut() {
+            if f.value.is_some() {
+                continue;
+            }
             let indicator = self
                 .dp
                 .regfile
@@ -744,13 +789,15 @@ impl<'a, 'p> Engine<'a, 'p> {
             let compressed = indicator.is_compressed();
             if compressed && self.decomp_starts >= self.cfg.compression.num_decompressors {
                 self.stats.collector_retry_cycles += 1;
-                self.stats.stalls.record(c.pc, StallCause::Decompressor);
+                self.pc_stalls[c.pc].record(StallCause::Decompressor);
+                complete = false;
                 continue;
             }
             let banks = indicator.banks_accessed();
             if !self.ports.try_read(bank_base..bank_base + banks) {
                 self.stats.collector_retry_cycles += 1;
-                self.stats.stalls.record(c.pc, StallCause::BankConflict);
+                self.pc_stalls[c.pc].record(StallCause::BankConflict);
+                complete = false;
                 continue;
             }
             f.value = Some(self.dp.read(c.slot, f.reg, self.now)?);
@@ -762,14 +809,13 @@ impl<'a, 'p> Engine<'a, 'p> {
                     .max(self.cfg.compression.decompression_latency);
             }
         }
-        Ok(())
+        Ok(complete)
     }
 
     fn dispatch(&mut self, c: Collector) -> Result<(), SimError> {
-        let srcs: Vec<usize> = c.fetches.iter().map(|f| f.reg).collect();
-        self.scoreboard.release_reads(c.slot, &srcs);
+        self.scoreboard.release_reads(c.slot, &c.srcs);
         #[cfg(feature = "sanitize")]
-        self.oracle.on_capture(c.slot, &srcs);
+        self.oracle.on_capture(c.slot, &c.srcs);
         let warp = self.warps[c.slot]
             .as_ref()
             .expect("warp alive while in flight");
@@ -780,7 +826,7 @@ impl<'a, 'p> Engine<'a, 'p> {
             warp_in_block: warp.warp_in_block,
             pc: c.pc,
             mask: c.mask,
-            operands: &c.fetches,
+            operands: c.operands(),
         }
         .execute(c.instr, self.memory)?;
         let done_at = self.now + self.cfg.latency(c.instr.latency_class()) + c.decomp_extra;
@@ -817,10 +863,17 @@ impl<'a, 'p> Engine<'a, 'p> {
         if access.mask == 0 {
             return;
         }
-        let mut segs: Vec<u32> = access.active_addrs().map(|(_, a)| a >> 5).collect();
-        segs.sort_unstable();
-        segs.dedup();
-        self.stats.mem.record(access.pc, segs.len() as u64);
+        let mut segs = [0u32; 32];
+        let mut n = 0;
+        for (_, a) in access.active_addrs() {
+            if !segs[..n].contains(&(a >> 5)) {
+                segs[n] = a >> 5;
+                n += 1;
+            }
+        }
+        let t = &mut self.pc_mem[access.pc];
+        t.accesses += 1;
+        t.transactions += n as u64;
         if let Some(observer) = self.probes.mem.as_mut() {
             observer(access);
         }
@@ -845,24 +898,33 @@ impl<'a, 'p> Engine<'a, 'p> {
     // Writeback: merge → compress → bank write
     // -----------------------------------------------------------------
 
+    /// Advances every in-flight result as far as it can go this cycle,
+    /// oldest first. The queue is walked in place: a stalled entry stays
+    /// where it is, and only retired entries leave it.
     fn writeback_stage(&mut self) -> Result<(), SimError> {
-        let entries = mem::take(&mut self.writebacks);
-        for mut e in entries {
+        let mut queue = mem::take(&mut self.writebacks);
+        let mut failed = None;
+        queue.retain_mut(|e| {
+            if failed.is_some() {
+                return true;
+            }
             loop {
-                match self.step_writeback(&mut e)? {
-                    StepOutcome::Progress => continue,
-                    StepOutcome::Stalled => {
-                        self.writebacks.push(e);
-                        break;
-                    }
-                    StepOutcome::Retired => {
+                match self.step_writeback(e) {
+                    Ok(StepOutcome::Progress) => continue,
+                    Ok(StepOutcome::Stalled) => return true,
+                    Ok(StepOutcome::Retired) => {
                         self.last_progress = self.now;
-                        break;
+                        return false;
+                    }
+                    Err(err) => {
+                        failed = Some(err);
+                        return true;
                     }
                 }
             }
-        }
-        Ok(())
+        });
+        self.writebacks = queue;
+        failed.map_or(Ok(()), Err)
     }
 
     fn step_writeback(&mut self, e: &mut WbEntry) -> Result<StepOutcome, SimError> {
@@ -924,7 +986,7 @@ impl<'a, 'p> Engine<'a, 'p> {
                 let bank_base = cluster * self.cfg.regfile.banks_per_cluster;
                 let banks = compressed.banks_required();
                 if !self.ports.try_write(bank_base..bank_base + banks) {
-                    self.stats.stalls.record(e.pc, StallCause::WritebackPort);
+                    self.pc_stalls[e.pc].record(StallCause::WritebackPort);
                     return Ok(StepOutcome::Stalled);
                 }
                 match self
@@ -936,7 +998,7 @@ impl<'a, 'p> Engine<'a, 'p> {
                         Ok(StepOutcome::Retired)
                     }
                     Err(WriteError::NotReady { ready_at }) => {
-                        self.stats.stalls.record(e.pc, StallCause::WritebackPort);
+                        self.pc_stalls[e.pc].record(StallCause::WritebackPort);
                         e.state = WbState::Ready {
                             compressed: *compressed,
                             not_before: ready_at,
@@ -1001,6 +1063,16 @@ enum StepOutcome {
     Progress,
     Stalled,
     Retired,
+}
+
+/// The per-pc counters that were ever charged, keyed by pc.
+fn nonzero_by_pc<T: Copy + Default + PartialEq>(counters: &[T]) -> BTreeMap<usize, T> {
+    counters
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| **c != T::default())
+        .map(|(pc, c)| (pc, *c))
+        .collect()
 }
 
 #[cfg(test)]

@@ -231,14 +231,15 @@ impl PcStalls {
         }
     }
 
-    fn slot_mut(&mut self, cause: StallCause) -> &mut u64 {
-        match cause {
+    /// Charges one lost cycle to `cause`.
+    pub(crate) fn record(&mut self, cause: StallCause) {
+        *match cause {
             StallCause::BankConflict => &mut self.bank_conflict,
             StallCause::Decompressor => &mut self.decompressor,
             StallCause::Scoreboard => &mut self.scoreboard,
             StallCause::CollectorFull => &mut self.collector_full,
             StallCause::WritebackPort => &mut self.writeback_port,
-        }
+        } += 1;
     }
 
     /// Stalls charged to this pc across every cause.
@@ -268,7 +269,7 @@ pub struct StallStats {
 impl StallStats {
     /// Charges one lost cycle at `pc` to `cause`.
     pub fn record(&mut self, pc: usize, cause: StallCause) {
-        *self.by_pc.entry(pc).or_default().slot_mut(cause) += 1;
+        self.by_pc.entry(pc).or_default().record(cause);
     }
 
     /// The counters charged to `pc` (zero if it never stalled).

@@ -18,8 +18,6 @@ pub struct WarpState {
     pub stack: SimtStack,
     /// Waiting on an unresolved branch: cannot issue.
     pub blocked: bool,
-    /// Monotonic launch sequence number (GTO "oldest" order).
-    pub launch_seq: u64,
     /// In-flight instructions (issue .. retire); a warp frees its slot
     /// only when done and drained.
     pub inflight: usize,
@@ -36,13 +34,7 @@ impl WarpState {
     /// # Panics
     ///
     /// Panics if `full_mask` is zero (see [`SimtStack::new`]).
-    pub fn new(
-        slot: usize,
-        block: usize,
-        warp_in_block: usize,
-        full_mask: u32,
-        launch_seq: u64,
-    ) -> Self {
+    pub fn new(slot: usize, block: usize, warp_in_block: usize, full_mask: u32) -> Self {
         WarpState {
             slot,
             block,
@@ -50,7 +42,6 @@ impl WarpState {
             full_mask,
             stack: SimtStack::new(full_mask, 0),
             blocked: false,
-            launch_seq,
             inflight: 0,
             pending_mem: 0,
         }
@@ -79,7 +70,7 @@ mod tests {
 
     #[test]
     fn full_warp_mask() {
-        let w = WarpState::new(0, 0, 0, u32::MAX, 0);
+        let w = WarpState::new(0, 0, 0, u32::MAX);
         assert_eq!(w.full_mask, u32::MAX);
         assert!(!w.is_divergent());
         assert!(!w.is_done());
@@ -87,7 +78,7 @@ mod tests {
 
     #[test]
     fn partial_warp_mask() {
-        let w = WarpState::new(0, 0, 1, 0xFF, 0);
+        let w = WarpState::new(0, 0, 1, 0xFF);
         assert_eq!(w.full_mask, 0xFF);
         // A partial warp running all its threads is not divergent.
         assert!(!w.is_divergent());
@@ -95,14 +86,14 @@ mod tests {
 
     #[test]
     fn divergence_detection() {
-        let mut w = WarpState::new(0, 0, 0, 0xF, 0);
+        let mut w = WarpState::new(0, 0, 0, 0xF);
         w.stack.branch(0x3, 5, 9);
         assert!(w.is_divergent());
     }
 
     #[test]
     fn drained_requires_no_inflight() {
-        let mut w = WarpState::new(0, 0, 0, 0x1, 0);
+        let mut w = WarpState::new(0, 0, 0, 0x1);
         w.inflight = 1;
         w.stack.exit_threads();
         assert!(w.is_done());

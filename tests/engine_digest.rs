@@ -1,0 +1,184 @@
+//! The dynamic engine's complete statistics, pinned per (design, kernel).
+//!
+//! Every suite kernel runs under six design points that between them
+//! reach every engine path: the baseline, warped-compression, the LRR
+//! scheduler, decompress-merge-recompress, a single-choice codec and a
+//! slower compressor/decompressor. Each run's `SimStats` is hashed field
+//! by field — per-pc stall attribution, per-pc memory traffic, the
+//! census, every per-bank register-file counter and the cycle count
+//! included — and compared against `tests/data/engine_digest.txt`.
+//!
+//! A change meant only to make the engine faster must leave this table
+//! untouched. On a mismatch the test prints the table it computed to
+//! stderr, so a change that is *meant* to alter timing can commit the
+//! new table alongside its justification.
+
+use warped_compression_suite::prelude::*;
+use warped_compression_suite::sim::{SimStats, StallCause};
+
+const TABLE: &str = include_str!("data/engine_digest.txt");
+
+fn designs() -> [DesignPoint; 6] {
+    [
+        DesignPoint::Baseline,
+        DesignPoint::WarpedCompression,
+        DesignPoint::WarpedCompressionLrr,
+        DesignPoint::DecompressMergeRecompress,
+        DesignPoint::Only(FixedChoice::Delta1),
+        DesignPoint::Latency {
+            compression: 4,
+            decompression: 4,
+        },
+    ]
+}
+
+/// FNV-1a over a stream of 64-bit words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn words(&mut self, ws: &[u64]) {
+        self.word(ws.len() as u64);
+        for &w in ws {
+            self.word(w);
+        }
+    }
+}
+
+/// Digest of every field of `s`. The exhaustive destructuring makes a
+/// new `SimStats` field a compile error here until it is hashed too.
+fn digest(s: &SimStats) -> u64 {
+    let SimStats {
+        cycles,
+        instructions,
+        synthetic_movs,
+        divergent_instructions,
+        writes,
+        writes_compressed,
+        nondiv_logical_bytes,
+        nondiv_stored_bytes,
+        div_logical_bytes,
+        div_stored_bytes,
+        compressor_activations,
+        decompressor_activations,
+        collector_retry_cycles,
+        stalls,
+        mem,
+        census,
+        regfile,
+        gating,
+    } = s;
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    h.words(&[
+        *cycles,
+        *instructions,
+        *synthetic_movs,
+        *divergent_instructions,
+        *writes,
+        *writes_compressed,
+        *nondiv_logical_bytes,
+        *nondiv_stored_bytes,
+        *div_logical_bytes,
+        *div_stored_bytes,
+        *compressor_activations,
+        *decompressor_activations,
+        *collector_retry_cycles,
+    ]);
+    h.word(stalls.by_pc.len() as u64);
+    for (&pc, p) in &stalls.by_pc {
+        h.word(pc as u64);
+        for cause in StallCause::ALL {
+            h.word(p.get(cause));
+        }
+    }
+    h.word(mem.by_pc.len() as u64);
+    for (&pc, t) in &mem.by_pc {
+        h.words(&[pc as u64, t.accesses, t.transactions]);
+    }
+    h.words(&[
+        census.nondiv_compressed,
+        census.nondiv_total,
+        census.div_compressed,
+        census.div_total,
+    ]);
+    h.words(&regfile.bank_reads);
+    h.words(&regfile.bank_writes);
+    h.words(&regfile.gated_cycles);
+    h.words(&[regfile.wakeups, regfile.total_cycles]);
+    for b in format!("{gating:?}").bytes() {
+        h.word(u64::from(b));
+    }
+    h.0
+}
+
+/// The table as this build computes it, one `design kernel cycles
+/// digest` row per run.
+fn computed() -> String {
+    let suite = suite();
+    let mut out = String::new();
+    for design in designs() {
+        let runs = warped_compression_suite::wc::run_suite(&design.config(), &suite)
+            .expect("suite runs cleanly");
+        for r in runs {
+            out.push_str(&format!(
+                "{} {} {} {:016x}\n",
+                design.label(),
+                r.name,
+                r.stats.cycles,
+                digest(&r.stats)
+            ));
+        }
+    }
+    out
+}
+
+#[test]
+fn engine_statistics_match_the_committed_table() {
+    let want: Vec<&str> = TABLE
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .collect();
+    let got = computed();
+    let got: Vec<&str> = got.lines().collect();
+    if want != got {
+        eprintln!("computed table:\n{}", got.join("\n"));
+    }
+    assert_eq!(want.len(), got.len(), "row count (18 kernels x 6 designs)");
+    let diffs: Vec<String> = want
+        .iter()
+        .zip(&got)
+        .filter(|(w, g)| w != g)
+        .map(|(w, g)| format!("  want {w}\n  got  {g}"))
+        .collect();
+    assert!(
+        diffs.is_empty(),
+        "{} of {} runs changed:\n{}",
+        diffs.len(),
+        want.len(),
+        diffs.join("\n")
+    );
+}
+
+#[test]
+fn digest_sees_per_pc_attribution() {
+    // Moving one stall or one transaction to another pc, with totals
+    // unchanged, must change the digest.
+    let mut a = SimStats::default();
+    a.stalls.record(3, StallCause::Scoreboard);
+    a.mem.record(5, 2);
+    let mut b = SimStats::default();
+    b.stalls.record(4, StallCause::Scoreboard);
+    b.mem.record(5, 2);
+    assert_ne!(digest(&a), digest(&b));
+    let mut c = SimStats::default();
+    c.stalls.record(3, StallCause::Scoreboard);
+    c.mem.record(6, 2);
+    assert_ne!(digest(&a), digest(&c));
+    assert_eq!(digest(&a), digest(&a.clone()));
+}
