@@ -1,7 +1,7 @@
 //! The streaming-multiprocessor pipeline: issue → operand collection →
 //! execution → compression-aware writeback.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::mem;
@@ -352,6 +352,37 @@ impl GpuSim {
 // Internal pipeline structures
 // ---------------------------------------------------------------------
 
+/// One instruction as the issue stage needs it, decoded once per pc
+/// when the engine is built.
+#[derive(Clone, Copy, Debug)]
+struct Decoded {
+    instr: Instruction,
+    /// The distinct source registers, in fetch order.
+    srcs: SrcSet<usize>,
+    dst: Option<usize>,
+    is_mem: bool,
+}
+
+impl Decoded {
+    fn new(instr: Instruction) -> Self {
+        Decoded {
+            instr,
+            srcs: instr.unique_srcs(),
+            dst: instr.dst().map(|r| r.index()),
+            is_mem: instr.latency_class() == LatencyClass::Memory,
+        }
+    }
+}
+
+/// What a warp issues when nothing holds it back.
+struct Candidate {
+    pc: usize,
+    op: Decoded,
+    mask: u32,
+    divergent: bool,
+    synthetic: bool,
+}
+
 #[derive(Clone, Debug)]
 struct Collector {
     slot: usize,
@@ -395,9 +426,21 @@ enum WbState {
 
 #[derive(Clone, Debug)]
 struct WbEntry {
+    /// Push order: the writeback queue is kept sorted by it.
+    seq: u64,
     pc: usize,
     write: PendingWrite,
     state: WbState,
+}
+
+impl WbEntry {
+    /// The cycle an entry still in [`WbState::Await`] comes due.
+    fn due_at(&self) -> u64 {
+        match self.state {
+            WbState::Await { done_at } => done_at,
+            _ => unreachable!("only awaiting entries are parked"),
+        }
+    }
 }
 
 struct Engine<'a, 'p> {
@@ -409,17 +452,32 @@ struct Engine<'a, 'p> {
     dp: Datapath,
     ports: BankPorts,
     scoreboard: Scoreboard,
+    /// The kernel decoded once, indexed by pc.
+    decoded: Vec<Decoded>,
     warps: Vec<Option<WarpState>>,
+    /// Resident warps: the occupied entries of `warps`.
+    resident: usize,
+    /// Slots whose warp drained this cycle, retired at its end.
+    drained: Vec<usize>,
+    /// Per slot, the pc of a scoreboard or LSU-order stall that still
+    /// holds: nothing that could clear it has happened since it was
+    /// found. Cleared when one of the slot's instructions dispatches or
+    /// one of its writes retires, and when a warp launches into it.
+    hazard_wait: Vec<Option<usize>>,
     collectors: Vec<Option<Collector>>,
-    /// In-flight results, oldest first: the order compressor slots and
-    /// write ports are offered in.
+    /// In-flight results past their execution latency, in push order:
+    /// the order compressor slots and write ports are offered in.
     writebacks: Vec<WbEntry>,
+    /// Results still inside their execution latency, one FIFO per
+    /// delay (`done_at` minus the push cycle). Pushes come in cycle
+    /// order, so each FIFO is ordered by `done_at` and by `seq` alike.
+    awaiting: Vec<(u64, VecDeque<WbEntry>)>,
+    /// Sequence number of the next pushed result.
+    next_seq: u64,
     sched_last: Vec<Option<usize>>,
-    /// Resident slots, oldest launch first: the GTO priority order.
-    by_age: Vec<usize>,
-    /// Scratch buffer for one scheduler's candidate order, reused every
-    /// cycle.
-    order: Vec<usize>,
+    /// Per scheduler, its resident slots, oldest launch first: the GTO
+    /// priority order.
+    by_age: Vec<Vec<usize>>,
     /// Stall counters indexed by pc, folded into `stats.stalls` at run
     /// end.
     pc_stalls: Vec<PcStalls>,
@@ -461,12 +519,17 @@ impl<'a, 'p> Engine<'a, 'p> {
         Ok(Engine {
             ports: BankPorts::new(cfg.regfile.num_banks),
             scoreboard: Scoreboard::new(max_resident, datapath::num_regs(kernel)),
+            decoded: kernel.instrs().iter().copied().map(Decoded::new).collect(),
             warps: vec![None; max_resident],
+            resident: 0,
+            drained: Vec::new(),
+            hazard_wait: vec![None; max_resident],
             collectors: vec![None; cfg.num_collectors],
             writebacks: Vec::new(),
+            awaiting: Vec::new(),
+            next_seq: 0,
             sched_last: vec![None; cfg.num_schedulers],
-            by_age: Vec::with_capacity(max_resident),
-            order: Vec::with_capacity(max_resident),
+            by_age: vec![Vec::new(); cfg.num_schedulers],
             pc_stalls: vec![PcStalls::default(); kernel.len()],
             pc_mem: vec![PcMemTraffic::default(); kernel.len()],
             now: 0,
@@ -529,7 +592,7 @@ impl<'a, 'p> Engine<'a, 'p> {
     }
 
     fn is_done(&self) -> bool {
-        self.next_block >= self.last_block && self.warps.iter().all(Option::is_none)
+        self.next_block >= self.last_block && self.resident == 0
     }
 
     // -----------------------------------------------------------------
@@ -542,7 +605,7 @@ impl<'a, 'p> Engine<'a, 'p> {
             if self.next_block >= self.last_block {
                 return Ok(());
             }
-            if self.warps.iter().filter(|w| w.is_none()).count() < wpb {
+            if self.warps.len() - self.resident < wpb {
                 return Ok(());
             }
             // The block's warps take the lowest free slots, in order.
@@ -557,33 +620,47 @@ impl<'a, 'p> Engine<'a, 'p> {
                 }
                 self.dp.allocate(slot, self.now)?;
                 let full_mask = self.launch.coords(block, w).full_mask();
-                self.warps[slot] = Some(WarpState::new(slot, block, w, full_mask));
-                self.by_age.push(slot);
+                self.warps[slot] = Some(WarpState::new(block, w, full_mask));
+                self.resident += 1;
+                self.hazard_wait[slot] = None;
+                self.by_age[slot % self.cfg.num_schedulers].push(slot);
                 w += 1;
             }
             self.next_block += 1;
         }
     }
 
-    fn retire_warps(&mut self) {
-        for slot in 0..self.warps.len() {
-            let drained_slot = match &self.warps[slot] {
-                Some(w) if w.is_drained() => Some(w.slot),
-                _ => None,
-            };
-            if let Some(s) = drained_slot {
-                debug_assert!(self.scoreboard.is_warp_idle(s));
-                #[cfg(feature = "sanitize")]
-                self.oracle.on_warp_free(s);
-                if let Some(cap) = self.probes.final_regs.as_mut() {
-                    let w = self.warps[s].as_ref().expect("drained warp present");
-                    cap.insert((w.block, w.warp_in_block), self.dp.capture(s));
-                }
-                self.dp.free(s, self.now);
-                self.warps[s] = None;
-                self.by_age.retain(|&x| x != s);
-            }
+    /// Notes the warp in `slot` for retirement if it just drained. Called
+    /// wherever a warp finishes or an in-flight instruction leaves it.
+    fn note_if_drained(&mut self, slot: usize) {
+        if self.warps[slot].as_ref().is_some_and(WarpState::is_drained) {
+            self.drained.push(slot);
         }
+    }
+
+    /// Frees the slots whose warps drained this cycle, lowest slot first.
+    fn retire_warps(&mut self) {
+        if self.drained.is_empty() {
+            return;
+        }
+        let mut drained = mem::take(&mut self.drained);
+        drained.sort_unstable();
+        for &s in &drained {
+            debug_assert!(self.warps[s].as_ref().is_some_and(WarpState::is_drained));
+            debug_assert!(self.scoreboard.is_warp_idle(s));
+            #[cfg(feature = "sanitize")]
+            self.oracle.on_warp_free(s);
+            if let Some(cap) = self.probes.final_regs.as_mut() {
+                let w = self.warps[s].as_ref().expect("drained warp present");
+                cap.insert((w.block, w.warp_in_block), self.dp.capture(s));
+            }
+            self.dp.free(s, self.now);
+            self.warps[s] = None;
+            self.resident -= 1;
+            self.by_age[s % self.cfg.num_schedulers].retain(|&x| x != s);
+        }
+        drained.clear();
+        self.drained = drained;
     }
 
     // -----------------------------------------------------------------
@@ -591,64 +668,39 @@ impl<'a, 'p> Engine<'a, 'p> {
     // -----------------------------------------------------------------
 
     fn issue_stage(&mut self) {
-        for s in 0..self.cfg.num_schedulers {
-            self.schedule_order(s);
-            for i in 0..self.order.len() {
-                let slot = self.order[i];
-                if self.try_issue(slot) {
-                    self.sched_last[s] = Some(slot);
-                    self.last_progress = self.now;
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Fills `self.order` with the candidate warps of scheduler `s`, in
-    /// policy priority order.
-    fn schedule_order(&mut self, s: usize) {
         let n = self.cfg.num_schedulers;
-        let warps = &self.warps;
-        let ready = |slot: usize| matches!(&warps[slot], Some(w) if !w.is_done() && !w.blocked);
-        let slots = &mut self.order;
-        slots.clear();
-        match self.cfg.scheduler {
-            SchedulerPolicy::Gto => {
-                // Greedy-then-oldest: the last issuer first, the rest
-                // oldest launch first.
-                slots.extend(
-                    self.by_age
-                        .iter()
-                        .copied()
-                        .filter(|&slot| slot % n == s && ready(slot)),
-                );
-                if let Some(last) = self.sched_last[s] {
-                    if let Some(pos) = slots.iter().position(|&x| x == last) {
-                        slots[..=pos].rotate_right(1);
-                    }
-                }
-            }
-            SchedulerPolicy::Lrr => {
-                slots.extend((s..warps.len()).step_by(n).filter(|&slot| ready(slot)));
-                if let Some(last) = self.sched_last[s] {
-                    // Rotate so iteration starts just after `last`.
-                    let split = slots.iter().position(|&x| x > last).unwrap_or(0);
-                    slots.rotate_left(split);
-                }
+        for s in 0..n {
+            // The walk reads the age list while probes mutate the engine.
+            let by_age = mem::take(&mut self.by_age[s]);
+            let issued = walk(
+                self.cfg.scheduler,
+                s,
+                n,
+                self.warps.len(),
+                &by_age,
+                self.sched_last[s],
+                |slot| self.is_ready(slot) && self.try_issue(slot),
+            );
+            self.by_age[s] = by_age;
+            if let Some(slot) = issued {
+                self.sched_last[s] = Some(slot);
+                self.last_progress = self.now;
             }
         }
     }
 
-    /// Attempts to issue one instruction from the warp in `slot`.
-    fn try_issue(&mut self, slot: usize) -> bool {
-        let Some(warp) = self.warps[slot].as_ref() else {
-            return false;
-        };
-        let Some(pc) = warp.stack.pc() else {
-            return false;
-        };
-        let instr = *self.kernel.instr(pc).expect("pc validated by Kernel");
-        let mask = warp.stack.mask();
+    /// Whether the warp in `slot` may be offered an issue slot: resident,
+    /// not finished and not waiting on a branch.
+    fn is_ready(&self, slot: usize) -> bool {
+        matches!(&self.warps[slot], Some(w) if !w.is_done() && !w.blocked)
+    }
+
+    /// What the ready warp in `slot` would issue now, or `Err(pc)` when a
+    /// scoreboard or LSU-order hazard holds it at `pc`.
+    fn issue_candidate(&self, slot: usize) -> Result<Candidate, usize> {
+        let warp = self.warps[slot].as_ref().expect("ready warp resident");
+        let pc = warp.stack.pc().expect("ready warp has a pc");
+        let op = self.decoded[pc];
         let divergent = warp.is_divergent();
 
         // §5.2: a divergent write to a compressed register is preceded by
@@ -656,40 +708,65 @@ impl<'a, 'p> Engine<'a, 'p> {
         let inject = self.cfg.compression.is_enabled()
             && self.cfg.compression.divergence == DivergencePolicy::UncompressedWrites
             && divergent
-            && instr
-                .dst()
-                .map(|d| self.dp.regfile.is_compressed(WarpSlot(slot), d.index()))
-                .unwrap_or(false);
-        let (actual, actual_mask, synthetic) = if inject {
-            let d = instr.dst().expect("inject requires a destination");
-            (
-                Instruction::Mov {
-                    dst: d,
-                    src: Operand::Reg(d),
-                },
-                self.warps[slot].as_ref().expect("checked").full_mask,
-                true,
-            )
+            && op
+                .dst
+                .is_some_and(|d| self.dp.regfile.is_compressed(WarpSlot(slot), d));
+        let (op, mask) = if inject {
+            let d = op.instr.dst().expect("inject requires a destination");
+            let mov = Instruction::Mov {
+                dst: d,
+                src: Operand::Reg(d),
+            };
+            (Decoded::new(mov), warp.full_mask)
         } else {
-            (instr, mask, false)
+            (op, warp.stack.mask())
         };
 
-        let srcs = actual.unique_srcs();
-        let dst = actual.dst().map(|r| r.index());
-        if !self.scoreboard.can_issue(slot, &srcs, dst) {
-            self.pc_stalls[pc].record(StallCause::Scoreboard);
-            return false;
+        if !self.scoreboard.can_issue(slot, &op.srcs, op.dst) {
+            return Err(pc);
         }
         // LSU ordering: memory effects happen at dispatch, so a new
         // load/store must wait until the warp's previous one has
         // dispatched — otherwise same-address accesses could reorder.
-        let is_mem = actual.latency_class() == LatencyClass::Memory;
-        if is_mem && self.warps[slot].as_ref().expect("checked").pending_mem > 0 {
+        if op.is_mem && warp.pending_mem > 0 {
+            return Err(pc);
+        }
+        Ok(Candidate {
+            pc,
+            op,
+            mask,
+            divergent,
+            synthetic: inject,
+        })
+    }
+
+    /// Attempts to issue one instruction from the ready warp in `slot`.
+    fn try_issue(&mut self, slot: usize) -> bool {
+        if let Some(pc) = self.hazard_wait[slot] {
+            debug_assert_eq!(
+                self.issue_candidate(slot).err(),
+                Some(pc),
+                "cached hazard of slot {slot} no longer holds"
+            );
             self.pc_stalls[pc].record(StallCause::Scoreboard);
             return false;
         }
+        let Candidate {
+            pc,
+            op,
+            mask,
+            divergent,
+            synthetic,
+        } = match self.issue_candidate(slot) {
+            Ok(c) => c,
+            Err(pc) => {
+                self.hazard_wait[slot] = Some(pc);
+                self.pc_stalls[pc].record(StallCause::Scoreboard);
+                return false;
+            }
+        };
 
-        match actual {
+        match op.instr {
             Instruction::Jmp { target } => {
                 let warp = self.warps[slot].as_mut().expect("checked");
                 warp.stack.jump(target);
@@ -699,6 +776,7 @@ impl<'a, 'p> Engine<'a, 'p> {
             Instruction::Exit => {
                 let warp = self.warps[slot].as_mut().expect("checked");
                 warp.stack.exit_threads();
+                self.note_if_drained(slot);
                 self.count_issue(divergent, synthetic);
                 true
             }
@@ -707,15 +785,16 @@ impl<'a, 'p> Engine<'a, 'p> {
                     self.pc_stalls[pc].record(StallCause::CollectorFull);
                     return false;
                 };
-                self.scoreboard.issue(slot, &srcs, dst);
+                let srcs = op.srcs;
+                self.scoreboard.issue(slot, &srcs, op.dst);
                 #[cfg(feature = "sanitize")]
-                self.oracle.on_issue(slot, pc, &srcs, dst);
+                self.oracle.on_issue(slot, pc, &srcs, op.dst);
                 let warp = self.warps[slot].as_mut().expect("checked");
                 warp.inflight += 1;
-                if is_mem {
+                if op.is_mem {
                     warp.pending_mem += 1;
                 }
-                match actual {
+                match op.instr {
                     Instruction::Bra { .. } => warp.blocked = true,
                     _ if synthetic => {} // pc unchanged; real instruction issues later
                     _ => warp.stack.advance(),
@@ -727,8 +806,8 @@ impl<'a, 'p> Engine<'a, 'p> {
                 self.collectors[ci] = Some(Collector {
                     slot,
                     pc,
-                    instr: actual,
-                    mask: actual_mask,
+                    instr: op.instr,
+                    mask,
                     divergent,
                     synthetic,
                     srcs,
@@ -813,6 +892,10 @@ impl<'a, 'p> Engine<'a, 'p> {
     }
 
     fn dispatch(&mut self, c: Collector) -> Result<(), SimError> {
+        // Dispatch changes the slot's scoreboard, its pending memory
+        // count and, for a branch, its SIMT stack: any cached stall is
+        // stale.
+        self.hazard_wait[c.slot] = None;
         self.scoreboard.release_reads(c.slot, &c.srcs);
         #[cfg(feature = "sanitize")]
         self.oracle.on_capture(c.slot, &c.srcs);
@@ -842,6 +925,7 @@ impl<'a, 'p> Engine<'a, 'p> {
                 warp.inflight -= 1;
                 warp.pending_mem -= 1;
                 self.record_mem(&access);
+                self.note_if_drained(c.slot);
             }
             Effect::Branch {
                 taken,
@@ -851,6 +935,7 @@ impl<'a, 'p> Engine<'a, 'p> {
                 warp.stack.branch(taken, target, reconv);
                 warp.blocked = false;
                 warp.inflight -= 1;
+                self.note_if_drained(c.slot);
             }
         }
         Ok(())
@@ -879,8 +964,18 @@ impl<'a, 'p> Engine<'a, 'p> {
         }
     }
 
+    /// Parks a result in the FIFO of its delay until it comes due.
     fn push_writeback(&mut self, c: &Collector, reg: usize, value: WarpRegister, done_at: u64) {
-        self.writebacks.push(WbEntry {
+        let delay = done_at - self.now;
+        let fifo = match self.awaiting.iter().position(|(d, _)| *d == delay) {
+            Some(i) => i,
+            None => {
+                self.awaiting.push((delay, VecDeque::new()));
+                self.awaiting.len() - 1
+            }
+        };
+        self.awaiting[fifo].1.push_back(WbEntry {
+            seq: self.next_seq,
             pc: c.pc,
             write: PendingWrite {
                 slot: c.slot,
@@ -892,6 +987,30 @@ impl<'a, 'p> Engine<'a, 'p> {
             },
             state: WbState::Await { done_at },
         });
+        self.next_seq += 1;
+    }
+
+    /// Moves every result that comes due this cycle into the writeback
+    /// queue at its push-order position. Merging the FIFO fronts by
+    /// `seq` keeps the queue in push order, which is the priority order
+    /// compressors and write ports are offered in.
+    fn admit_due(&mut self) {
+        loop {
+            let mut next: Option<(usize, u64)> = None;
+            for (i, (_, fifo)) in self.awaiting.iter().enumerate() {
+                if let Some(e) = fifo.front() {
+                    if e.due_at() <= self.now && next.is_none_or(|(_, seq)| e.seq < seq) {
+                        next = Some((i, e.seq));
+                    }
+                }
+            }
+            let Some((i, seq)) = next else {
+                return;
+            };
+            let e = self.awaiting[i].1.pop_front().expect("front checked");
+            let at = self.writebacks.partition_point(|x| x.seq < seq);
+            self.writebacks.insert(at, e);
+        }
     }
 
     // -----------------------------------------------------------------
@@ -899,9 +1018,12 @@ impl<'a, 'p> Engine<'a, 'p> {
     // -----------------------------------------------------------------
 
     /// Advances every in-flight result as far as it can go this cycle,
-    /// oldest first. The queue is walked in place: a stalled entry stays
+    /// oldest first. Results still inside their execution latency would
+    /// only stall without a trace, so they wait in `awaiting` and are
+    /// not visited. The queue is walked in place: a stalled entry stays
     /// where it is, and only retired entries leave it.
     fn writeback_stage(&mut self) -> Result<(), SimError> {
+        self.admit_due();
         let mut queue = mem::take(&mut self.writebacks);
         let mut failed = None;
         queue.retain_mut(|e| {
@@ -1025,6 +1147,10 @@ impl<'a, 'p> Engine<'a, 'p> {
                 synthetic: w.synthetic,
             });
         }
+        // The write changes the slot's scoreboard and the stored form
+        // of `w.reg`, which the §5.2 inject decision reads: any cached
+        // stall is stale.
+        self.hazard_wait[w.slot] = None;
         self.scoreboard.release_write(w.slot, w.reg);
         #[cfg(feature = "sanitize")]
         self.oracle.on_retire_write(w.slot, w.reg);
@@ -1032,6 +1158,7 @@ impl<'a, 'p> Engine<'a, 'p> {
             .as_mut()
             .expect("warp alive while in flight");
         warp.inflight -= 1;
+        self.note_if_drained(w.slot);
     }
 
     // -----------------------------------------------------------------
@@ -1059,6 +1186,51 @@ impl<'a, 'p> Engine<'a, 'p> {
     }
 }
 
+/// Offers scheduler `s`'s warp slots to `probe` in `policy` priority
+/// order and returns the first slot it accepts. `n` is the scheduler
+/// count (scheduler `s` owns the slots `slot % n == s`), `by_age` the
+/// scheduler's resident slots, oldest launch first, and `last` the slot
+/// that issued last. `probe` also screens out the slots that are not
+/// ready.
+///
+/// - GTO (greedy-then-oldest) offers `last` first, then `by_age`
+///   without it.
+/// - LRR (loose round-robin) offers the scheduler's slot ring, starting
+///   just after `last` and wrapping around.
+///
+/// A rejected probe changes nothing a later probe reads, so walking
+/// lazily visits the same warps as building the ready list first.
+fn walk(
+    policy: SchedulerPolicy,
+    s: usize,
+    n: usize,
+    num_slots: usize,
+    by_age: &[usize],
+    last: Option<usize>,
+    mut probe: impl FnMut(usize) -> bool,
+) -> Option<usize> {
+    match policy {
+        SchedulerPolicy::Gto => {
+            if let Some(l) = last {
+                if probe(l) {
+                    return Some(l);
+                }
+            }
+            by_age
+                .iter()
+                .copied()
+                .find(|&slot| Some(slot) != last && probe(slot))
+        }
+        SchedulerPolicy::Lrr => {
+            let ring = num_slots.saturating_sub(s).div_ceil(n);
+            let start = last.map_or(0, |l| ((l - s) / n + 1) % ring);
+            (0..ring)
+                .map(|k| s + (start + k) % ring * n)
+                .find(|&slot| probe(slot))
+        }
+    }
+}
+
 enum StepOutcome {
     Progress,
     Stalled,
@@ -1078,6 +1250,7 @@ fn nonzero_by_pc<T: Copy + Default + PartialEq>(counters: &[T]) -> BTreeMap<usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use simt_isa::{AluOp, KernelBuilder, Reg, Special};
 
     fn run_kernel(
@@ -1560,6 +1733,95 @@ mod tests {
                 matches!(e, SimError::Read { .. } | SimError::MemoryAt { .. }),
                 "unexpected: {e}"
             );
+        }
+    }
+
+    /// The issue order before the lazy walk: scheduler `s`'s ready
+    /// slots, filtered out of every resident slot (`all_by_age`, oldest
+    /// launch first) and then rotated to the policy's starting point.
+    fn materialised_order(
+        policy: SchedulerPolicy,
+        s: usize,
+        n: usize,
+        num_slots: usize,
+        all_by_age: &[usize],
+        last: Option<usize>,
+        ready: impl Fn(usize) -> bool,
+    ) -> Vec<usize> {
+        let mut slots = Vec::new();
+        match policy {
+            SchedulerPolicy::Gto => {
+                slots.extend(
+                    all_by_age
+                        .iter()
+                        .copied()
+                        .filter(|&slot| slot % n == s && ready(slot)),
+                );
+                if let Some(last) = last {
+                    if let Some(pos) = slots.iter().position(|&x| x == last) {
+                        slots[..=pos].rotate_right(1);
+                    }
+                }
+            }
+            SchedulerPolicy::Lrr => {
+                slots.extend((s..num_slots).step_by(n).filter(|&slot| ready(slot)));
+                if let Some(last) = last {
+                    let split = slots.iter().position(|&x| x > last).unwrap_or(0);
+                    slots.rotate_left(split);
+                }
+            }
+        }
+        slots
+    }
+
+    proptest! {
+        #[test]
+        fn lazy_walk_visits_the_materialised_order(
+            n in 1usize..5,
+            states in prop::collection::vec(0u8..3, 1..49),
+            age_keys in prop::collection::vec(0u32..1000, 48),
+            lasts in prop::collection::vec(0usize..64, 4),
+            accept in 0usize..8,
+            gto in any::<bool>(),
+        ) {
+            // Slot states: 0 free, 1 resident but not ready, 2 ready.
+            let policy = if gto { SchedulerPolicy::Gto } else { SchedulerPolicy::Lrr };
+            let num_slots = states.len();
+            let ready = |slot: usize| states[slot] == 2;
+            let mut all_by_age: Vec<usize> = (0..num_slots).filter(|&x| states[x] != 0).collect();
+            all_by_age.sort_by_key(|&x| (age_keys[x], x));
+            for (s, pick) in lasts.into_iter().enumerate().take(n) {
+                // The last issuer is any slot of the scheduler, resident
+                // or since retired, or none yet.
+                let ring: Vec<usize> = (s..num_slots).step_by(n).collect();
+                let last = ring.get(pick % (ring.len() + 1)).copied();
+                let by_age: Vec<usize> =
+                    all_by_age.iter().copied().filter(|&x| x % n == s).collect();
+                let want = materialised_order(policy, s, n, num_slots, &all_by_age, last, ready);
+
+                let mut seen = Vec::new();
+                let none = walk(policy, s, n, num_slots, &by_age, last, |slot| {
+                    if ready(slot) {
+                        seen.push(slot);
+                    }
+                    false
+                });
+                prop_assert_eq!(none, None);
+                prop_assert_eq!(&seen, &want);
+
+                // A probe that accepts the `accept`-th ready slot stops
+                // the walk there.
+                let mut seen = Vec::new();
+                let issued = walk(policy, s, n, num_slots, &by_age, last, |slot| {
+                    if !ready(slot) {
+                        return false;
+                    }
+                    seen.push(slot);
+                    seen.len() > accept
+                });
+                prop_assert_eq!(issued, want.get(accept).copied());
+                prop_assert_eq!(&seen[..], &want[..want.len().min(accept + 1)]);
+            }
         }
     }
 

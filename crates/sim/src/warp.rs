@@ -6,8 +6,6 @@ use simt_isa::SimtStack;
 /// the SIMT stack. Register values live in the register file, not here.
 #[derive(Clone, Debug)]
 pub struct WarpState {
-    /// Hardware warp slot (register file cluster = slot % 4).
-    pub slot: usize,
     /// Index of this warp's block in the grid.
     pub block: usize,
     /// Warp index within the block.
@@ -34,9 +32,8 @@ impl WarpState {
     /// # Panics
     ///
     /// Panics if `full_mask` is zero (see [`SimtStack::new`]).
-    pub fn new(slot: usize, block: usize, warp_in_block: usize, full_mask: u32) -> Self {
+    pub fn new(block: usize, warp_in_block: usize, full_mask: u32) -> Self {
         WarpState {
-            slot,
             block,
             warp_in_block,
             full_mask,
@@ -70,7 +67,7 @@ mod tests {
 
     #[test]
     fn full_warp_mask() {
-        let w = WarpState::new(0, 0, 0, u32::MAX);
+        let w = WarpState::new(0, 0, u32::MAX);
         assert_eq!(w.full_mask, u32::MAX);
         assert!(!w.is_divergent());
         assert!(!w.is_done());
@@ -78,7 +75,7 @@ mod tests {
 
     #[test]
     fn partial_warp_mask() {
-        let w = WarpState::new(0, 0, 1, 0xFF);
+        let w = WarpState::new(0, 1, 0xFF);
         assert_eq!(w.full_mask, 0xFF);
         // A partial warp running all its threads is not divergent.
         assert!(!w.is_divergent());
@@ -86,14 +83,14 @@ mod tests {
 
     #[test]
     fn divergence_detection() {
-        let mut w = WarpState::new(0, 0, 0, 0xF);
+        let mut w = WarpState::new(0, 0, 0xF);
         w.stack.branch(0x3, 5, 9);
         assert!(w.is_divergent());
     }
 
     #[test]
     fn drained_requires_no_inflight() {
-        let mut w = WarpState::new(0, 0, 0, 0x1);
+        let mut w = WarpState::new(0, 0, 0x1);
         w.inflight = 1;
         w.stack.exit_threads();
         assert!(w.is_done());

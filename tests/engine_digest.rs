@@ -8,15 +8,27 @@
 //! census, every per-bank register-file counter and the cycle count
 //! included — and compared against `tests/data/engine_digest.txt`.
 //!
-//! A change meant only to make the engine faster must leave this table
+//! A second table, `tests/data/engine_digest_fuzz.txt`, pins the same
+//! six design points over 200 random kernels from the fuzzer's
+//! generator (seed 42), each with its own launch geometry and initial
+//! memory image. Random kernels reach divergence, injected MOVs and
+//! LSU-order stalls in mixes the suite does not. A run that fails would
+//! be pinned by its error text; none of these 200 fails today.
+//!
+//! A change meant only to make the engine faster must leave both tables
 //! untouched. On a mismatch the test prints the table it computed to
 //! stderr, so a change that is *meant* to alter timing can commit the
 //! new table alongside its justification.
 
 use warped_compression_suite::prelude::*;
 use warped_compression_suite::sim::{SimStats, StallCause};
+use warped_compression_suite::wc::{FuzzCase, DEFAULT_CYCLE_BUDGET};
 
 const TABLE: &str = include_str!("data/engine_digest.txt");
+const FUZZ_TABLE: &str = include_str!("data/engine_digest_fuzz.txt");
+
+/// Random kernels pinned by the fuzz table.
+const FUZZ_CASES: usize = 200;
 
 fn designs() -> [DesignPoint; 6] {
     [
@@ -40,6 +52,12 @@ impl Fnv {
         for b in w.to_le_bytes() {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn text(&mut self, s: &str) {
+        for b in s.bytes() {
+            self.word(u64::from(b));
         }
     }
 
@@ -111,14 +129,19 @@ fn digest(s: &SimStats) -> u64 {
     h.words(&regfile.bank_writes);
     h.words(&regfile.gated_cycles);
     h.words(&[regfile.wakeups, regfile.total_cycles]);
-    for b in format!("{gating:?}").bytes() {
-        h.word(u64::from(b));
-    }
+    h.text(&format!("{gating:?}"));
     h.0
 }
 
-/// The table as this build computes it, one `design kernel cycles
-/// digest` row per run.
+/// Digest of a failed run's error text.
+fn error_digest(text: &str) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    h.text(text);
+    h.0
+}
+
+/// The suite table as this build computes it, one `design kernel
+/// cycles digest` row per run.
 fn computed() -> String {
     let suite = suite();
     let mut out = String::new();
@@ -138,18 +161,46 @@ fn computed() -> String {
     out
 }
 
-#[test]
-fn engine_statistics_match_the_committed_table() {
-    let want: Vec<&str> = TABLE
+/// The fuzz table as this build computes it: one `design case cycles
+/// digest` row per run, or `design case err digest-of-error-text` for a
+/// run that fails. Each run gets the fuzzer's cycle budget.
+fn computed_fuzz() -> String {
+    let cases: Vec<FuzzCase> = (0..FUZZ_CASES).map(|i| FuzzCase::generate(42, i)).collect();
+    let mut out = String::new();
+    for design in designs() {
+        let mut cfg = design.config();
+        cfg.max_cycles = cfg.max_cycles.min(DEFAULT_CYCLE_BUDGET);
+        let sim = GpuSim::new(cfg);
+        for case in &cases {
+            let mut image = case.init_words.clone();
+            image.resize(case.mem_words, 0);
+            let mut memory = GlobalMemory::from_words(image);
+            let launch = LaunchConfig::new(case.blocks, case.threads_per_block);
+            let row = match sim.run(&case.kernel, &launch, &mut memory) {
+                Ok(r) => format!("{} {:016x}", r.stats.cycles, digest(&r.stats)),
+                Err(e) => format!("err {:016x}", error_digest(&e.to_string())),
+            };
+            out.push_str(&format!(
+                "{} {} {row}\n",
+                design.label(),
+                case.kernel.name()
+            ));
+        }
+    }
+    out
+}
+
+/// Compares a computed table against a committed one, row by row.
+fn assert_table_matches(table: &str, got: &str, what: &str) {
+    let want: Vec<&str> = table
         .lines()
         .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
         .collect();
-    let got = computed();
     let got: Vec<&str> = got.lines().collect();
     if want != got {
         eprintln!("computed table:\n{}", got.join("\n"));
     }
-    assert_eq!(want.len(), got.len(), "row count (18 kernels x 6 designs)");
+    assert_eq!(want.len(), got.len(), "row count ({what})");
     let diffs: Vec<String> = want
         .iter()
         .zip(&got)
@@ -163,6 +214,16 @@ fn engine_statistics_match_the_committed_table() {
         want.len(),
         diffs.join("\n")
     );
+}
+
+#[test]
+fn engine_statistics_match_the_committed_table() {
+    assert_table_matches(TABLE, &computed(), "18 kernels x 6 designs");
+}
+
+#[test]
+fn engine_statistics_on_random_kernels_match_the_committed_table() {
+    assert_table_matches(FUZZ_TABLE, &computed_fuzz(), "200 fuzz kernels x 6 designs");
 }
 
 #[test]
