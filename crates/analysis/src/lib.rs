@@ -53,6 +53,7 @@
 pub mod absint;
 pub mod cfg;
 pub mod dataflow;
+pub mod launch;
 pub mod lint;
 pub mod liveness;
 pub mod memabs;
@@ -69,14 +70,18 @@ pub use absint::{
 };
 pub use cfg::{BasicBlock, Cfg};
 pub use dataflow::{DefSite, ReachingDefs, RegSet};
+pub use launch::LaunchAnalysis;
 pub use lint::{Diagnostic, LintKind, LintReport, Severity};
 pub use liveness::{Liveness, LivenessSummary};
 pub use memabs::{analyze_mem, AccessPattern, MemAbs, MemSite, RacePair};
 pub use memcell::{analyze_cells, CellTable, MemCells};
 pub use perfbound::{
-    bound_kernel, BlockBound, ConflictSite, MemFloor, PerfLaunch, PerfMachine, PerfPrediction,
+    bound_kernel, bound_kernel_with, BlockBound, ConflictSite, MemFloor, PerfLaunch, PerfMachine,
+    PerfPrediction,
 };
-pub use schedule::{schedule_kernel, IssuePlan, PlannedInstr, ScheduleBail, WarpPlan};
+pub use schedule::{
+    schedule_kernel, schedule_kernel_with, IssuePlan, PlannedInstr, ScheduleBail, WarpPlan,
+};
 
 use serde::{Deserialize, Serialize};
 
@@ -136,43 +141,74 @@ pub fn analyze_instrs_with_launch(
         };
     }
 
-    let cfg = Cfg::build(instrs);
-    reachability_lints(instrs, &cfg, &mut diags);
-    divergence_lints(instrs, &cfg, &mut diags);
+    let analysis = LaunchAnalysis::of_instrs(name, instrs, num_regs, launch);
+    dataflow_lints(name, instrs, num_regs, &analysis, diags)
+}
 
-    let rd = ReachingDefs::compute(instrs, num_regs, &cfg);
-    use_before_def_lints(instrs, &cfg, &rd, &mut diags);
-    let lv = Liveness::compute(instrs, &cfg);
-    dead_write_lints(instrs, &cfg, &lv, &mut diags);
+/// Like [`analyze_with_launch`], reading the control-flow graph, the
+/// memory cells and the address abstraction from `analysis` instead of
+/// recomputing them. `analysis` must have been built from `kernel`.
+pub fn analyze_with(kernel: &Kernel, analysis: &LaunchAnalysis) -> KernelAnalysis {
+    dataflow_lints(
+        kernel.name(),
+        kernel.instrs(),
+        kernel.num_regs(),
+        analysis,
+        Vec::new(),
+    )
+}
+
+/// Everything past the structural lints: reachability, divergence,
+/// dataflow and memory lints, liveness and the compressibility
+/// prediction, over a structurally valid sequence.
+fn dataflow_lints(
+    name: &str,
+    instrs: &[Instruction],
+    num_regs: u8,
+    analysis: &LaunchAnalysis,
+    mut diags: Vec<Diagnostic>,
+) -> KernelAnalysis {
+    let LaunchAnalysis {
+        launch,
+        cfg,
+        cells,
+        mem,
+    } = analysis;
+    let launch = launch.as_ref();
+    reachability_lints(instrs, cfg, &mut diags);
+    divergence_lints(instrs, cfg, &mut diags);
+
+    let rd = ReachingDefs::compute(instrs, num_regs, cfg);
+    use_before_def_lints(instrs, cfg, &rd, &mut diags);
+    let lv = Liveness::compute(instrs, cfg);
+    dead_write_lints(instrs, cfg, &lv, &mut diags);
 
     // The memory-cell analysis subsumes the plain abstract
     // interpretation: without an initial-memory image it degrades to
     // exactly `interpret`, with one it refines loads through the
     // verified per-word cell table.
-    let cells = memcell::analyze_cells(name, instrs, usize::from(num_regs), &cfg, launch);
     uniform_branch_lints(&cells.absint.prediction, &mut diags);
-    refinable_load_lints(&cells, &mut diags);
-    let mem = memabs::analyze_mem(name, instrs, num_regs, &cfg, launch);
-    mem_lints(&mem, launch, &mut diags);
+    refinable_load_lints(cells, &mut diags);
+    mem_lints(mem, launch, &mut diags);
     unschedulable_region_lints(
         instrs,
-        &cfg,
+        cfg,
         &rd,
         &cells.absint.prediction,
         launch,
-        &mem,
-        &cells,
+        mem,
+        cells,
         &mut diags,
     );
 
     // Stable order: whole-kernel findings first, then by pc.
     diags.sort_by_key(|d| d.pc.map_or((0, 0), |pc| (1, pc)));
 
-    let liveness = LivenessSummary::collect(name, num_regs, &cfg, &lv);
+    let liveness = LivenessSummary::collect(name, num_regs, cfg, &lv);
     KernelAnalysis {
         report: LintReport::new(name, diags),
         liveness: Some(liveness),
-        prediction: Some(cells.absint.prediction),
+        prediction: Some(cells.absint.prediction.clone()),
     }
 }
 

@@ -54,6 +54,8 @@ use simt_isa::{Instruction, Kernel, LatencyClass};
 use crate::absint::{interpret, AbsintAnalysis, LaunchInfo};
 use crate::cfg::Cfg;
 use crate::dataflow::ReachingDefs;
+use crate::launch::LaunchAnalysis;
+use crate::memabs::{analyze_mem, MemAbs};
 use crate::trace::{StepOutcome, TimingState, TraceStep, WarpReplay, UNCOMPRESSED_BANKS};
 
 /// The pipeline parameters the bounds are derived from — the subset of
@@ -177,7 +179,9 @@ impl PerfLaunch {
         self.threads_per_block.div_ceil(WARP_SIZE)
     }
 
-    pub(crate) fn absint_info(&self) -> LaunchInfo {
+    /// The same launch as the absint / memabs / memcell passes see it:
+    /// the memory size is known exactly when the image is attached.
+    pub fn absint_info(&self) -> LaunchInfo {
         LaunchInfo {
             params: self.params.clone(),
             blocks: Some(self.blocks as u32),
@@ -336,17 +340,50 @@ impl PerfPrediction {
 /// [`Kernel`]); the bound is sound for the simulator's single-SM
 /// execution of the full launch, which is how `run_workload` runs it.
 pub fn bound_kernel(kernel: &Kernel, launch: &PerfLaunch, machine: &PerfMachine) -> PerfPrediction {
+    let cfg = Cfg::build(kernel.instrs());
+    let info = Some(launch.absint_info());
+    let mem = analyze_mem(
+        kernel.name(),
+        kernel.instrs(),
+        kernel.num_regs(),
+        &cfg,
+        info.as_ref(),
+    );
+    bound_with_facts(kernel, launch, machine, &cfg, &mem)
+}
+
+/// Like [`bound_kernel`], reading the control-flow graph and the memory
+/// floors' address abstraction from `analysis`, which must have been
+/// built from `kernel` under `launch` ([`PerfLaunch::absint_info`]).
+/// The floors are the same: the tracer keeps its own plain
+/// [`interpret`], unrefined by the memory cells.
+pub fn bound_kernel_with(
+    kernel: &Kernel,
+    launch: &PerfLaunch,
+    machine: &PerfMachine,
+    analysis: &LaunchAnalysis,
+) -> PerfPrediction {
+    debug_assert!(analysis.describes(launch), "analysis of another launch");
+    bound_with_facts(kernel, launch, machine, &analysis.cfg, &analysis.mem)
+}
+
+fn bound_with_facts(
+    kernel: &Kernel,
+    launch: &PerfLaunch,
+    machine: &PerfMachine,
+    cfg: &Cfg,
+    mem: &MemAbs,
+) -> PerfPrediction {
     let instrs = kernel.instrs();
-    let cfg = Cfg::build(instrs);
     let num_regs = usize::from(kernel.num_regs()).max(1);
     let absint = interpret(
         kernel.name(),
         instrs,
         num_regs,
-        &cfg,
+        cfg,
         Some(&launch.absint_info()),
     );
-    let dist = min_instructions_to_exit(instrs, &cfg);
+    let dist = min_instructions_to_exit(instrs, cfg);
     let codec = BdiCodec::new(machine.choices.clone());
 
     let mut total = Totals::default();
@@ -377,9 +414,9 @@ pub fn bound_kernel(kernel: &Kernel, launch: &PerfLaunch, machine: &PerfMachine)
     let compressor_bound = total
         .compressor_activations
         .div_ceil(machine.num_compressors as u64);
-    let conflicts = conflict_sites(instrs, &cfg, &absint, machine, &exec_counts);
-    let mem_floors = mem_floor_sites(kernel, instrs, &cfg, launch, &exec_counts);
-    let block_bounds = block_bounds(instrs, &cfg, machine, num_regs);
+    let conflicts = conflict_sites(instrs, cfg, &absint, machine, &exec_counts);
+    let mem_floors = mem_floor_sites(mem, launch, &exec_counts);
+    let block_bounds = block_bounds(instrs, cfg, machine, num_regs);
 
     PerfPrediction {
         kernel: kernel.name().to_string(),
@@ -405,19 +442,10 @@ pub fn bound_kernel(kernel: &Kernel, launch: &PerfLaunch, machine: &PerfMachine)
 // ---------------------------------------------------------------------
 
 fn mem_floor_sites(
-    kernel: &Kernel,
-    instrs: &[Instruction],
-    cfg: &Cfg,
+    mem: &MemAbs,
     launch: &PerfLaunch,
     exec_counts: &BTreeMap<usize, u64>,
 ) -> Vec<MemFloor> {
-    let mem = crate::memabs::analyze_mem(
-        kernel.name(),
-        instrs,
-        kernel.num_regs(),
-        cfg,
-        Some(&launch.absint_info()),
-    );
     // The abstract per-access floor assumes all 32 lanes are active; a
     // partial trailing warp touches a subset of the segments, so floors
     // above 1 are only sound when every warp of the launch is full.

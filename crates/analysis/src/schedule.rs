@@ -55,7 +55,7 @@ use bdi::BdiCodec;
 use serde::{Deserialize, Serialize};
 use simt_isa::Kernel;
 
-use crate::cfg::Cfg;
+use crate::launch::LaunchAnalysis;
 use crate::perfbound::{PerfLaunch, PerfMachine};
 use crate::trace::{LossReason, StepOutcome, TimingState, TraceStep, WarpReplay};
 
@@ -268,6 +268,21 @@ pub fn schedule_kernel(
     machine: &PerfMachine,
     max_resident_warps: usize,
 ) -> Result<IssuePlan, ScheduleBail> {
+    let analysis = LaunchAnalysis::new(kernel, Some(&launch.absint_info()));
+    schedule_kernel_with(kernel, launch, machine, max_resident_warps, &analysis)
+}
+
+/// Like [`schedule_kernel`], reading the memory cells and the address
+/// abstraction from `analysis`, which must have been built from
+/// `kernel` under `launch` ([`PerfLaunch::absint_info`]).
+pub fn schedule_kernel_with(
+    kernel: &Kernel,
+    launch: &PerfLaunch,
+    machine: &PerfMachine,
+    max_resident_warps: usize,
+    analysis: &LaunchAnalysis,
+) -> Result<IssuePlan, ScheduleBail> {
+    debug_assert!(analysis.describes(launch), "analysis of another launch");
     let instrs = kernel.instrs();
     let num_regs = usize::from(kernel.num_regs()).max(1);
     let wpb = launch.warps_per_block();
@@ -277,33 +292,19 @@ pub fn schedule_kernel(
             slots_available: max_resident_warps,
         });
     }
-    let cfg = Cfg::build(instrs);
     // The memory-cell analysis carries the absint fixpoint, refined
     // through the verified per-word value table whenever the launch
     // supplies its full initial-memory image: loads from never-stored
     // uniform tables become statically known, so table-driven trip
     // counts and predicates resolve instead of bailing.
-    let cells = crate::memcell::analyze_cells(
-        kernel.name(),
-        instrs,
-        num_regs,
-        &cfg,
-        Some(&launch.absint_info()),
-    );
+    let cells = &analysis.cells;
     let absint = &cells.absint;
     let codec = BdiCodec::new(machine.choices.clone());
     // Precision payoff of the address abstraction: when no two warps
     // can touch the same word with a store involved, each warp's view
     // of memory is exactly its own stores, so the replay may forward
     // known stored values into loads instead of going opaque.
-    let mem = crate::memabs::analyze_mem(
-        kernel.name(),
-        instrs,
-        kernel.num_regs(),
-        &cfg,
-        Some(&launch.absint_info()),
-    );
-    let forward_mem = mem.warp_isolated();
+    let forward_mem = analysis.mem.warp_isolated();
 
     let total_warps = launch.blocks * wpb;
     let mut plans: Vec<Option<WarpPlan>> = (0..total_warps).map(|_| None).collect();
@@ -347,7 +348,7 @@ pub fn schedule_kernel(
                 if forward_mem {
                     replay.enable_memory_forwarding();
                 }
-                replay.enable_initial_image(&cells);
+                replay.enable_initial_image(cells);
                 let pending = match replay.step() {
                     StepOutcome::Done => None,
                     StepOutcome::Step(s) => Some(s),

@@ -7,10 +7,24 @@
 //! (straight-line, counted loops, loop nests, data- and
 //! lane-divergence, value patterns, in-warp memory aliasing,
 //! memory-loaded trip counts), and [`check_case`] checks each through
-//! the gates' own joins. It computes every static claim once, runs
-//! warped-compression once with every [`gpu_sim::Probes`] hook armed,
-//! baseline once with the memory probe and the static plan's replay
-//! once, then reads the gate reports in this order:
+//! the gates' own joins. It computes each static claim once, and only
+//! when a join will read it:
+//!
+//! * before the run, one [`simt_analysis::LaunchAnalysis`] (the CFG,
+//!   the memcell-refined absint and the memabs address sets of the
+//!   image-armed launch) and the lints' prediction built on it, because
+//!   the write probe reads the prediction;
+//! * one warped-compression run with every [`gpu_sim::Probes`] hook
+//!   armed. Its `max_cycles` is clamped to the case budget, so a kernel
+//!   that never exits ends here as a [`FindingCategory::Timeout`],
+//!   deterministically and before anything else is paid for;
+//! * after that run has finished: the perfbound floor (whose concrete
+//!   replay would otherwise follow a non-terminating loop for its
+//!   whole fuel) and the issue plan, both reading the shared launch
+//!   analysis, then one baseline run with the memory probe and one
+//!   replay of the plan.
+//!
+//! The gate reports are read in this order:
 //!
 //! 1. **perfbound** (`perf_join`) — the run beats no cycle,
 //!    bank-access, energy, instruction or per-site stall floor,
@@ -28,9 +42,8 @@
 //!    slack; a bail is a benign fallback, as in `wcsim schedule`,
 //! 5. **panic freedom** — any panic (including a `sanitize:` oracle
 //!    assertion) is caught via [`catch_panic`] and triaged,
-//! 6. **watchdog** — the simulator's `max_cycles` is clamped to the
-//!    case budget, so a runaway kernel reports
-//!    [`FindingCategory::Timeout`] deterministically.
+//! 6. **watchdog** — a run that reaches the case budget is reported
+//!    as a timeout by the stage that ran it.
 //!
 //! Any disagreement is classified into a typed [`Finding`] and the
 //! offending case is delta-debug **shrunk** ([`shrink_case`]): first
@@ -55,12 +68,14 @@ use gpu_sim::{
 };
 use gpu_workloads::testgen;
 use rand::prelude::{Rng, SeedableRng, StdRng};
-use simt_analysis::{analyze_with_launch, bound_kernel, schedule_kernel, IssuePlan};
+use simt_analysis::{
+    analyze_with, bound_kernel_with, schedule_kernel_with, IssuePlan, LaunchAnalysis,
+};
 use simt_isa::{to_asm, Instruction, Kernel, Operand};
 
 use crate::design::DesignPoint;
 use crate::launch::LaunchFacts;
-use crate::mem::{mem_join, MemClaim, MemTally};
+use crate::mem::{mem_join, MemTally};
 use crate::perfbound::{perf_join, perf_machine};
 use crate::predict::{predict_join, WriteTally};
 use crate::resilient::catch_panic;
@@ -497,11 +512,14 @@ fn run_checks(
     let wc = capped(DesignPoint::WarpedCompression, budget);
     let machine = perf_machine(wc.config());
 
-    // 1. The claims the probes need come before the run; the others
-    // follow once it has succeeded, so a shrink candidate that times
-    // out never pays for them. Each is computed once.
-    let mut bound = bound_kernel(kernel, &facts.perf, &machine);
-    let prediction = analyze_with_launch(kernel, Some(&facts.info)).prediction;
+    // 1. Only the claims a probe reads come before the run. The write
+    // probe reads the prediction, so the launch analysis it is built on
+    // comes first too; the floor, the plan and the memory joins reuse
+    // that analysis. Everything else waits for a run that finished, so
+    // a shrink candidate whose loop no longer ends pays for nothing
+    // more than its timed-out run.
+    let analysis = LaunchAnalysis::new(kernel, Some(&facts.info));
+    let prediction = analyze_with(kernel, &analysis).prediction;
 
     // 2. One warped-compression run with every probe armed.
     let mut writes = WriteTally::new(kernel.len());
@@ -532,6 +550,10 @@ fn run_checks(
     let dyn_regs = probes.final_regs.take().unwrap_or_default();
     let stats = &run.stats;
 
+    // The perfbound floor follows the run: its concrete replay follows
+    // each warp for up to a million instructions, so it is computed
+    // only for a kernel the engine finished.
+    let mut bound = bound_kernel_with(kernel, &facts.perf, &machine, &analysis);
     if mutated(Mutation::RaiseCycleFloor) {
         bound.cycle_lower_bound = stats.cycles + 1;
     }
@@ -541,23 +563,22 @@ fn run_checks(
         let report = predict_join(name, prediction, &writes);
         verdict(AbsintUnsound, "dynamic run", report.violations())?;
     }
-    let mem_claim = MemClaim::new(kernel, &facts.info);
     if mutated(Mutation::ShrinkAddressSet) {
         if let Some(event) = events.iter_mut().find(|e| e.mask != 0) {
             knock_out(event);
         }
     }
     let mut accesses = MemTally::default();
-    events.iter().for_each(|e| accesses.record(&mem_claim, e));
+    events.iter().for_each(|e| accesses.record(&analysis, e));
     let residency = wc.max_resident_warps(kernel);
-    let plan = schedule_kernel(kernel, &facts.perf, &machine, residency);
+    let plan = schedule_kernel_with(kernel, &facts.perf, &machine, residency, &analysis);
     let mut sched_claim = ScheduleClaim::new(perf.prediction.cycle_lower_bound, plan);
     if mutated(Mutation::ZeroSlack) {
         sched_claim.slack = |_| 0;
     }
     let mem_violations = |accesses: &MemTally, stats| {
         let plan = &sched_claim.plan;
-        mem_join(name, &mem_claim, accesses, stats, &perf.prediction, plan).violations()
+        mem_join(name, &analysis, accesses, stats, &perf.prediction, plan).violations()
     };
     verdict(
         MemabsUnsound,
@@ -571,7 +592,7 @@ fn run_checks(
     let mut base_accesses = MemTally::default();
     let base = capped(DesignPoint::Baseline, budget)
         .run_mem_observed(kernel, &launch, &mut memory.clone(), &mut |e| {
-            base_accesses.record(&mem_claim, e);
+            base_accesses.record(&analysis, e);
         })
         .map_err(|e| sim_finding(e, "baseline run"))?;
     verdict(
@@ -1147,7 +1168,7 @@ mod tests {
         for index in 0..120 {
             let case = FuzzCase::generate(42, index);
             let facts = LaunchFacts::new(&case.launch(), &case.memory(case.mem_words), false);
-            let mem = MemClaim::new(&case.kernel, &facts.info).mem;
+            let mem = LaunchAnalysis::new(&case.kernel, Some(&facts.info)).mem;
             match mem.race_free {
                 Some(false) if !mem.races.is_empty() => raced += 1,
                 Some(true) => isolated += 1,

@@ -36,10 +36,9 @@ use gpu_workloads::Workload;
 use rayon::prelude::*;
 use serde::Serialize;
 use simt_analysis::{
-    analyze_cells, analyze_mem, bound_kernel, schedule_kernel, Cfg, IssuePlan, LaunchInfo, MemAbs,
-    MemCells, PerfPrediction, ScheduleBail,
+    bound_kernel_with, schedule_kernel_with, IssuePlan, LaunchAnalysis, MemAbs, PerfPrediction,
+    ScheduleBail,
 };
-use simt_isa::Kernel;
 
 use crate::design::DesignPoint;
 use crate::launch::LaunchFacts;
@@ -219,39 +218,6 @@ fn bail_name(bail: &ScheduleBail) -> &'static str {
     }
 }
 
-/// The static half of the memory gate for one launch: the per-site
-/// abstract address sets and race verdict, and the refined load values.
-#[derive(Clone, Debug)]
-pub(crate) struct MemClaim {
-    /// The address abstraction and cross-warp race verdict.
-    pub mem: MemAbs,
-    /// The abstract memory cells and the loads they refine.
-    pub cells: MemCells,
-}
-
-impl MemClaim {
-    /// Runs memabs and memcell over `kernel` under `info`.
-    pub(crate) fn new(kernel: &Kernel, info: &LaunchInfo) -> MemClaim {
-        let cfg = Cfg::build(kernel.instrs());
-        MemClaim {
-            mem: analyze_mem(
-                kernel.name(),
-                kernel.instrs(),
-                kernel.num_regs(),
-                &cfg,
-                Some(info),
-            ),
-            cells: analyze_cells(
-                kernel.name(),
-                kernel.instrs(),
-                usize::from(kernel.num_regs()),
-                &cfg,
-                Some(info),
-            ),
-        }
-    }
-}
-
 /// One warp's traced touch of one word: who, where, and whether it
 /// wrote. The race join collects these per address.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -262,7 +228,9 @@ struct Touch {
 }
 
 /// What one run's memory probe observed, joined access by access
-/// against a [`MemClaim`]: address escapes and refined-value escapes per
+/// against the static half of the memory gate, a [`LaunchAnalysis`]
+/// (its per-site abstract address sets and race verdict, and its
+/// refined load values): address escapes and refined-value escapes per
 /// pc, accesses at statically-unreachable pcs, and every warp's touches
 /// per word for the race join.
 #[derive(Clone, Debug, Default)]
@@ -278,9 +246,9 @@ impl MemTally {
     /// of every active lane's address, the per-word touch, and — for
     /// loads the memcell domain refined — γ-containment of every active
     /// lane's loaded value in the refined abstract value.
-    pub(crate) fn record(&mut self, claim: &MemClaim, event: &MemEvent) {
+    pub(crate) fn record(&mut self, analysis: &LaunchAnalysis, event: &MemEvent) {
         if !event.is_store {
-            if let Some(refined) = claim.cells.refined.get(&event.pc) {
+            if let Some(refined) = analysis.cells.refined.get(&event.pc) {
                 if !refined.contains_masked(&event.values, event.mask) {
                     *self.value_escapes.entry(event.pc).or_default() += 1;
                 }
@@ -297,11 +265,11 @@ impl MemTally {
                 slot.push(touch);
             }
         }
-        let Some(site) = claim.mem.site_index(event.pc) else {
+        let Some(site) = analysis.mem.site_index(event.pc) else {
             self.untracked += 1;
             return;
         };
-        let contained = match claim.mem.address_for(
+        let contained = match analysis.mem.address_for(
             site,
             u32::try_from(event.block).unwrap_or(u32::MAX),
             u32::try_from(event.warp_in_block).unwrap_or(u32::MAX),
@@ -354,19 +322,19 @@ impl MemTally {
     }
 }
 
-/// Joins a memory claim against what one run traced: the tally of its
-/// accesses, its per-pc traffic against the perfbound transaction
-/// floors in `floors`, and the scheduler's verdict `plan` for the
-/// attribution.
+/// Joins the memory claims of `analysis` against what one run traced:
+/// the tally of its accesses, its per-pc traffic against the perfbound
+/// transaction floors in `floors`, and the scheduler's verdict `plan`
+/// for the attribution.
 pub(crate) fn mem_join(
     kernel: &str,
-    claim: &MemClaim,
+    analysis: &LaunchAnalysis,
     tally: &MemTally,
     stats: &SimStats,
     floors: &PerfPrediction,
     plan: &Result<IssuePlan, ScheduleBail>,
 ) -> MemReport {
-    let (mem, cells) = (&claim.mem, &claim.cells);
+    let (mem, cells) = (&analysis.mem, &analysis.cells);
     let sites = mem
         .sites
         .iter()
@@ -427,21 +395,21 @@ pub fn mem_workload(workload: &Workload) -> Result<MemReport, SimError> {
     let launch = workload.launch();
     let mut memory = workload.fresh_memory();
     let facts = LaunchFacts::new(launch, &memory, true);
-    let claim = MemClaim::new(kernel, &facts.info);
+    let analysis = LaunchAnalysis::new(kernel, Some(&facts.info));
     let sim_cfg = DesignPoint::WarpedCompression.config();
     let machine = perf_machine(&sim_cfg);
-    let floors = bound_kernel(kernel, &facts.perf, &machine);
+    let floors = bound_kernel_with(kernel, &facts.perf, &machine, &analysis);
 
     let mut tally = MemTally::default();
     let sim = GpuSim::new(sim_cfg);
     let result = sim.run_mem_observed(kernel, launch, &mut memory, &mut |event| {
-        tally.record(&claim, event);
+        tally.record(&analysis, event);
     })?;
     let residency = sim.max_resident_warps(kernel);
-    let plan = schedule_kernel(kernel, &facts.perf, &machine, residency);
+    let plan = schedule_kernel_with(kernel, &facts.perf, &machine, residency, &analysis);
     Ok(mem_join(
         workload.name(),
-        &claim,
+        &analysis,
         &tally,
         &result.stats,
         &floors,

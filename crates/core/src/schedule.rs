@@ -31,7 +31,9 @@ use gpu_sim::{FinalRegs, GlobalMemory, GpuSim, SimError, SimStats};
 use gpu_workloads::Workload;
 use rayon::prelude::*;
 use serde::Serialize;
-use simt_analysis::{bound_kernel, schedule_kernel, IssuePlan, ScheduleBail};
+use simt_analysis::{
+    bound_kernel_with, schedule_kernel_with, IssuePlan, LaunchAnalysis, ScheduleBail,
+};
 
 use crate::design::DesignPoint;
 use crate::experiment::activity_of;
@@ -258,13 +260,14 @@ pub fn schedule_workload(
     let launch = workload.launch();
     let mut dyn_mem = workload.fresh_memory();
     let facts = LaunchFacts::new(launch, &dyn_mem, true);
-    let floor = bound_kernel(kernel, &facts.perf, &machine).cycle_lower_bound;
+    let analysis = LaunchAnalysis::new(kernel, Some(&facts.info));
+    let floor = bound_kernel_with(kernel, &facts.perf, &machine, &analysis).cycle_lower_bound;
 
     let (dyn_result, dyn_regs) = sim.run_capturing(kernel, launch, &mut dyn_mem)?;
     let residency = sim.max_resident_warps(kernel);
     let claim = ScheduleClaim::new(
         floor,
-        schedule_kernel(kernel, &facts.perf, &machine, residency),
+        schedule_kernel_with(kernel, &facts.perf, &machine, residency, &analysis),
     );
     let replayed = match &claim.plan {
         Ok(plan) => {

@@ -464,6 +464,10 @@ struct Engine<'a, 'p> {
     /// found. Cleared when one of the slot's instructions dispatches or
     /// one of its writes retires, and when a warp launches into it.
     hazard_wait: Vec<Option<usize>>,
+    /// Per slot, the first bank of its register-file cluster
+    /// (`slot % num_clusters`), where its operand reads and result
+    /// writes claim their bank range.
+    bank_base: Vec<usize>,
     collectors: Vec<Option<Collector>>,
     /// In-flight results past their execution latency, in push order:
     /// the order compressor slots and write ports are offered in.
@@ -524,6 +528,9 @@ impl<'a, 'p> Engine<'a, 'p> {
             resident: 0,
             drained: Vec::new(),
             hazard_wait: vec![None; max_resident],
+            bank_base: (0..max_resident)
+                .map(|slot| slot % cfg.regfile.num_clusters() * cfg.regfile.banks_per_cluster)
+                .collect(),
             collectors: vec![None; cfg.num_collectors],
             writebacks: Vec::new(),
             awaiting: Vec::new(),
@@ -853,8 +860,7 @@ impl<'a, 'p> Engine<'a, 'p> {
     /// place, and says whether all of them are now in.
     fn fetch_operands(&mut self, ci: usize) -> Result<bool, SimError> {
         let c = self.collectors[ci].as_mut().expect("occupied collector");
-        let cluster = c.slot % self.cfg.regfile.num_clusters();
-        let bank_base = cluster * self.cfg.regfile.banks_per_cluster;
+        let bank_base = self.bank_base[c.slot];
         let mut complete = true;
         for f in c.fetches[..c.srcs.len()].iter_mut() {
             if f.value.is_some() {
@@ -1104,8 +1110,7 @@ impl<'a, 'p> Engine<'a, 'p> {
                 if self.now < *not_before {
                     return Ok(StepOutcome::Stalled);
                 }
-                let cluster = e.write.slot % self.cfg.regfile.num_clusters();
-                let bank_base = cluster * self.cfg.regfile.banks_per_cluster;
+                let bank_base = self.bank_base[e.write.slot];
                 let banks = compressed.banks_required();
                 if !self.ports.try_write(bank_base..bank_base + banks) {
                     self.pc_stalls[e.pc].record(StallCause::WritebackPort);

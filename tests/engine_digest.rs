@@ -15,13 +15,19 @@
 //! LSU-order stalls in mixes the suite does not. A run that fails would
 //! be pinned by its error text; none of these 200 fails today.
 //!
+//! A third, small table pins the engine's failing exits: a kernel that
+//! spins past its cycle cap (`CycleLimit`) and one that stores past the
+//! end of global memory (`MemoryAt`), each under the same six designs
+//! and hashed by its error text.
+//!
 //! A change meant only to make the engine faster must leave both tables
 //! untouched. On a mismatch the test prints the table it computed to
 //! stderr, so a change that is *meant* to alter timing can commit the
 //! new table alongside its justification.
 
+use warped_compression_suite::isa::assemble;
 use warped_compression_suite::prelude::*;
-use warped_compression_suite::sim::{SimStats, StallCause};
+use warped_compression_suite::sim::{SimError, SimStats, StallCause};
 use warped_compression_suite::wc::{FuzzCase, DEFAULT_CYCLE_BUDGET};
 
 const TABLE: &str = include_str!("data/engine_digest.txt");
@@ -190,6 +196,88 @@ fn computed_fuzz() -> String {
     out
 }
 
+/// A kernel that never exits: each warp spins on a backward `jmp`.
+const SPIN: &str = "
+.kernel spin regs 2
+    mov r0, %tid
+@top:
+    mul r1, r0, 3
+    add r0, r1, 1
+    jmp @top
+";
+
+/// A kernel whose last warps store past the end of a 64-word memory.
+const OOB_STORE: &str = "
+.kernel oob_store regs 2
+    mov r0, %gtid
+    add r1, r0, 7
+    st [r0+0], r1
+    exit
+";
+
+/// The cycle cap the spinning kernel runs into.
+const SPIN_CAP: u64 = 5_000;
+
+/// Each failing run's `design kernel err digest-of-error-text` row, as
+/// pinned when the table was generated.
+const FAILING_TABLE: &str = "\
+baseline spin err 278ddea14fa82357
+baseline oob_store err f138dcb8908859ff
+warped-compression spin err 278ddea14fa82357
+warped-compression oob_store err f138dcb8908859ff
+warped-compression-lrr spin err 278ddea14fa82357
+warped-compression-lrr oob_store err f138dcb8908859ff
+decompress-merge-recompress spin err 278ddea14fa82357
+decompress-merge-recompress oob_store err f138dcb8908859ff
+only<4,1> spin err 278ddea14fa82357
+only<4,1> oob_store err f138dcb8908859ff
+latency-c4-d4 spin err 278ddea14fa82357
+latency-c4-d4 oob_store err f138dcb8908859ff
+";
+
+/// The failing-exits table as this build computes it. Each run must
+/// fail the way its kernel was built to, so a regenerated table cannot
+/// pin a different exit.
+fn computed_failing() -> String {
+    let spin = assemble(SPIN).expect("spin assembles");
+    let oob = assemble(OOB_STORE).expect("oob_store assembles");
+    let mut out = String::new();
+    for design in designs() {
+        let mut cfg = design.config();
+        cfg.max_cycles = SPIN_CAP;
+        let err = GpuSim::new(cfg)
+            .run(
+                &spin,
+                &LaunchConfig::new(2, 64),
+                &mut GlobalMemory::zeroed(64),
+            )
+            .expect_err("spin never exits");
+        assert!(
+            matches!(err, SimError::CycleLimit { limit: SPIN_CAP }),
+            "{err}"
+        );
+        out.push_str(&format!(
+            "{} spin err {:016x}\n",
+            design.label(),
+            error_digest(&err.to_string())
+        ));
+        let err = GpuSim::new(design.config())
+            .run(
+                &oob,
+                &LaunchConfig::new(2, 48),
+                &mut GlobalMemory::zeroed(64),
+            )
+            .expect_err("oob_store faults");
+        assert!(matches!(err, SimError::MemoryAt { .. }), "{err}");
+        out.push_str(&format!(
+            "{} oob_store err {:016x}\n",
+            design.label(),
+            error_digest(&err.to_string())
+        ));
+    }
+    out
+}
+
 /// Compares a computed table against a committed one, row by row.
 fn assert_table_matches(table: &str, got: &str, what: &str) {
     let want: Vec<&str> = table
@@ -224,6 +312,15 @@ fn engine_statistics_match_the_committed_table() {
 #[test]
 fn engine_statistics_on_random_kernels_match_the_committed_table() {
     assert_table_matches(FUZZ_TABLE, &computed_fuzz(), "200 fuzz kernels x 6 designs");
+}
+
+#[test]
+fn failing_exits_match_the_pinned_table() {
+    assert_table_matches(
+        FAILING_TABLE,
+        &computed_failing(),
+        "2 failing kernels x 6 designs",
+    );
 }
 
 #[test]

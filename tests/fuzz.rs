@@ -20,8 +20,8 @@
 
 use proptest::prelude::*;
 use warped_compression::{
-    check_case, mutation_smoke, run_case, shrink_case, FuzzCase, FuzzConfig, Mutation,
-    DEFAULT_CYCLE_BUDGET,
+    check_case, mutation_smoke, run_case, shrink_case, FindingCategory, FuzzCase, FuzzConfig,
+    Mutation, DEFAULT_CYCLE_BUDGET,
 };
 
 /// Obligation 1: a finding-free campaign (the PR-gate runs 300 through
@@ -139,6 +139,33 @@ fn reproducers_reassemble_into_the_shrunk_kernel() {
         Mutation::ZeroSlack.expected_category(),
     );
     assert_eq!(reassembled, shrunk.kernel);
+}
+
+/// Obligation 1b: a kernel that never exits is the watchdog's, and
+/// its run is the first thing to report it: the perfbound floor, whose
+/// concrete replay would follow the loop for its whole fuel, is only
+/// computed for a run that finished.
+#[test]
+fn a_kernel_that_never_exits_times_out_in_the_dynamic_run() {
+    let kernel = simt_isa::assemble(
+        ".kernel spin regs 2\n mov r0, %tid\n@top:\n add r1, r0, 1\n mov r0, r1\n jmp @top\n",
+    )
+    .expect("spin assembles");
+    let case = FuzzCase {
+        index: 0,
+        seed: 0,
+        kernel,
+        blocks: 1,
+        threads_per_block: 32,
+        mem_words: 4,
+        init_words: Vec::new(),
+    };
+    let found = check_case(&case, DEFAULT_CYCLE_BUDGET, None).expect_err("spin never exits");
+    assert_eq!(found.category, FindingCategory::Timeout);
+    assert_eq!(
+        found.detail,
+        "dynamic run: cycle watchdog expired at 200000"
+    );
 }
 
 /// Obligation 4: generation is order-independent and seed-sensitive.
