@@ -60,7 +60,6 @@
 use std::fmt;
 
 use bdi::{CompressionClass, WARP_SIZE};
-use serde::{Deserialize, Serialize};
 use simt_isa::{AluOp, Instruction, Operand, Special};
 
 use crate::cfg::Cfg;
@@ -78,7 +77,7 @@ const WIDEN_AFTER: u32 = 12;
 /// Bounds are kept as `i64` so interval arithmetic can detect 32-bit
 /// overflow exactly, but every constructed range lies within
 /// `[i32::MIN, i32::MAX]`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Range {
     /// Inclusive lower bound.
     pub lo: i64,
@@ -173,7 +172,7 @@ impl fmt::Display for Range {
 /// Concretisation: a set of possible 32-lane value vectors. Lane
 /// values are 32-bit words; ranges constrain their two's-complement
 /// (`i32`) reinterpretation.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AbsVal {
     /// All lanes hold one common value in the range.
     Uniform(Range),
@@ -542,7 +541,7 @@ impl LaunchInfo {
 }
 
 /// Statically predicted compression class for one register write site.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SitePrediction {
     /// The pc of the writing instruction.
     pub pc: usize,
@@ -561,7 +560,7 @@ pub struct SitePrediction {
 }
 
 /// Static uniformity verdict for one branch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BranchVerdict {
     /// The pc of the `bra` instruction.
     pub pc: usize,
@@ -573,7 +572,7 @@ pub struct BranchVerdict {
 /// The static compressibility report for one kernel: one prediction
 /// per reachable register write site plus per-branch uniformity
 /// verdicts.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KernelPrediction {
     /// Kernel name.
     pub kernel: String,

@@ -83,10 +83,8 @@ pub use schedule::{
     schedule_kernel, schedule_kernel_with, IssuePlan, PlannedInstr, ScheduleBail, WarpPlan,
 };
 
-use serde::{Deserialize, Serialize};
-
 /// The verifier's full output for one kernel.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct KernelAnalysis {
     /// Every lint finding.
     pub report: LintReport,

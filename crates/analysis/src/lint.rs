@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// How bad a diagnostic is.
 ///
 /// Errors describe kernels the simulator would mis-execute or hang on
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// never-written registers, dead writes, unreachable instructions);
 /// info findings are observations that are not problems at all (e.g. a
 /// provably warp-uniform branch the hardware never diverges on).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// A fact worth surfacing, not a defect.
     Info,
@@ -33,7 +31,7 @@ impl fmt::Display for Severity {
 }
 
 /// The individual checks the verifier runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LintKind {
     /// The kernel has no instructions.
     EmptyKernel,
@@ -137,7 +135,7 @@ impl LintKind {
 }
 
 /// One finding: what, where, and which register (when applicable).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Which check fired.
     pub kind: LintKind,
@@ -178,7 +176,7 @@ impl fmt::Display for Diagnostic {
 }
 
 /// Everything the verifier found for one kernel.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LintReport {
     /// Kernel name.
     pub kernel: String,

@@ -8,7 +8,6 @@
 //! affecting the computation, which is the static upper bound the
 //! `gpu-power` crate compares against measured bank occupancy.
 
-use serde::{Deserialize, Serialize};
 use simt_isa::Instruction;
 
 use crate::cfg::Cfg;
@@ -77,7 +76,7 @@ impl Liveness {
 /// static upper bound on how many banks power gating could turn off.
 ///
 /// [`dead_fraction`]: LivenessSummary::dead_fraction
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LivenessSummary {
     /// Kernel name, for reports.
     pub kernel: String,

@@ -37,7 +37,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
 use simt_isa::Instruction;
 
 use crate::absint::{interpret, interpret_for_warp, AbsVal, LaunchInfo, Range, WarpFocus};
@@ -58,7 +57,7 @@ pub const SEGMENT_WORDS: u64 = 32;
 const MAX_FOCUS_WARPS: usize = 256;
 
 /// The statically provable shape of one site's per-lane addresses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AccessPattern {
     /// All active lanes touch one word: one transaction, a broadcast.
     Uniform,
@@ -85,7 +84,7 @@ impl AccessPattern {
 }
 
 /// One static load/store site with its abstract access set.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MemSite {
     /// The pc of the `ld`/`st` instruction.
     pub pc: usize,
@@ -112,7 +111,7 @@ pub struct MemSite {
 /// A statically detected cross-warp conflicting access pair: the
 /// store at `store_pc` (in some warp) and the access at `other_pc`
 /// (in some *different* warp) may touch the same word.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RacePair {
     /// The storing site.
     pub store_pc: usize,
@@ -128,7 +127,7 @@ pub struct RacePair {
 }
 
 /// Per-warp specialised address sets for every site.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct WarpAddresses {
     block: u32,
     warp_in_block: u32,
@@ -138,7 +137,7 @@ struct WarpAddresses {
 }
 
 /// The full static memory report for one kernel under one launch.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MemAbs {
     /// Kernel name.
     pub kernel: String,
@@ -187,11 +186,6 @@ impl MemAbs {
             Some(w) => w.values.get(site).and_then(|v| v.as_ref()),
             None => self.sites.get(site).map(|s| &s.address),
         }
-    }
-
-    /// Whether per-warp specialised address sets were computed.
-    pub fn has_warp_addresses(&self) -> bool {
-        !self.warp_addresses.is_empty()
     }
 }
 

@@ -48,7 +48,6 @@
 use std::collections::BTreeMap;
 
 use bdi::{BdiCodec, ChoiceSet, CompressionClass, WARP_SIZE};
-use serde::{Deserialize, Serialize};
 use simt_isa::{Instruction, Kernel, LatencyClass};
 
 use crate::absint::{interpret, AbsintAnalysis, LaunchInfo};
@@ -162,12 +161,6 @@ impl PerfLaunch {
         self
     }
 
-    /// Attaches the full initial-memory image.
-    pub fn with_memory(mut self, image: std::sync::Arc<Vec<u32>>) -> Self {
-        self.initial_mem = Some(image);
-        self
-    }
-
     /// The `i`-th scalar parameter (missing slots read as 0, mirroring
     /// the simulator's `LaunchConfig::param`).
     pub fn param(&self, i: usize) -> u32 {
@@ -197,7 +190,7 @@ impl PerfLaunch {
 /// fetch claims a bank range starting at the warp's cluster base, so
 /// the reads can never all complete in one cycle — under either
 /// register layout.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConflictSite {
     /// The pc of the conflicting instruction.
     pub pc: usize,
@@ -228,7 +221,7 @@ pub struct ConflictSite {
 /// instruction must issue at least `min_transactions_per_access`
 /// 32-word-segment transactions, mirroring how [`ConflictSite`] floors
 /// the register-bank stalls.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MemFloor {
     /// The pc of the load/store.
     pub pc: usize,
@@ -253,7 +246,7 @@ pub struct MemFloor {
 /// warp must spend to execute the block once, from the scoreboard
 /// edges (RAW/WAW/WAR via reaching definitions), the one-issue-per-
 /// warp-per-cycle port, and the `max(1, k)` collector occupancy.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BlockBound {
     /// Block id (index into the CFG's block list).
     pub block: usize,
@@ -270,7 +263,7 @@ pub struct BlockBound {
 /// The static performance lower bound for one kernel × launch ×
 /// machine. Every field is a floor on the corresponding simulator
 /// counter; `wcsim perf` fails if any floor exceeds its measurement.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PerfPrediction {
     /// Kernel name.
     pub kernel: String,

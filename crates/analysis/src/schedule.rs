@@ -52,7 +52,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use bdi::BdiCodec;
-use serde::{Deserialize, Serialize};
 use simt_isa::Kernel;
 
 use crate::launch::LaunchAnalysis;
@@ -62,7 +61,7 @@ use crate::trace::{LossReason, StepOutcome, TimingState, TraceStep, WarpReplay};
 /// One statically scheduled instruction of one warp. The cycle fields
 /// are absolute (plan-global); the replayer executes them verbatim and
 /// re-derives the hazard rules as a static pre-check.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlannedInstr {
     /// The pc this step executes (checked against the real SIMT stack
     /// at issue).
@@ -96,7 +95,7 @@ pub struct PlannedInstr {
 }
 
 /// The static schedule of one warp.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WarpPlan {
     /// Block index in the grid.
     pub block: usize,
@@ -119,7 +118,7 @@ pub struct WarpPlan {
 
 /// A complete ahead-of-time issue schedule for one kernel × launch ×
 /// machine.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IssuePlan {
     /// Kernel name.
     pub kernel: String,

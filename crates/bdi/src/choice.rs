@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::layout::{BaseSize, ChunkLayout};
 
 /// One of the three fixed runtime compression choices of warped-compression
 /// (§4): a 4-byte base with a 0-, 1- or 2-byte delta.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FixedChoice {
     /// ⟨4,0⟩ — all 32 thread registers identical; 1 bank. This is the
     /// "scalarization" special case (§6.6).
@@ -61,7 +59,7 @@ impl fmt::Display for FixedChoice {
 /// choices are nested (§4: anything ⟨4,0⟩-compressible is also
 /// ⟨4,1⟩-compressible, and so on). The single-choice sets reproduce the
 /// design-space exploration of §6.6 (Fig. 15/16).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChoiceSet {
     choices: Vec<FixedChoice>,
 }
@@ -130,7 +128,7 @@ impl FromIterator<FixedChoice> for ChoiceSet {
 /// site *must* compress to on every execution). Variants are ordered by
 /// bank footprint, so `Ord` means "at most as expensive as" and
 /// `a.max(b)` is the conservative join of two observations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CompressionClass {
     /// ⟨4,0⟩ — all 32 lanes identical; 1 bank.
     Delta0,
@@ -218,7 +216,7 @@ impl From<CompressionClass> for CompressionIndicator {
 
 /// The 2-bit compression-range indicator kept per warp register in the
 /// bank arbiter (§4): tells the arbiter how many banks hold the register.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CompressionIndicator {
     /// Register stored verbatim across all 8 banks.
     Uncompressed,

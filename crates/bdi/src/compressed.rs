@@ -1,7 +1,5 @@
 //! The compressed representation of a warp register.
 
-use serde::{Deserialize, Serialize};
-
 use crate::choice::{CompressionClass, CompressionIndicator};
 use crate::deltas::DeltaArray;
 use crate::error::DecodeError;
@@ -17,7 +15,7 @@ use crate::register::{WarpRegister, WARP_REGISTER_BYTES};
 /// deltas live in an inline [`DeltaArray`], so the whole enum is `Copy`
 /// and moving a compressed register between pipeline stages never
 /// touches the heap — just like the hardware latches it stage to stage.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum CompressedRegister {
     /// The register could not (or was chosen not to) be compressed.
     Uncompressed(WarpRegister),

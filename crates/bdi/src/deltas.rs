@@ -16,8 +16,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Most deltas any delta-*storing* layout produces: ⟨2,1⟩ has 128/2 − 1.
 ///
 /// Zero-width layouts can have more logical deltas (⟨1,0⟩ has 127) but
@@ -54,7 +52,7 @@ pub const MAX_STORED_DELTAS: usize = 63;
 /// assert_eq!(stored.len(), 31);
 /// assert!(stored.iter().all(|d| d == 0));
 /// ```
-#[derive(Clone, Copy, Serialize, Deserialize)]
+#[derive(Clone, Copy)]
 pub struct DeltaArray {
     /// Logical number of deltas (chunk count − 1 once fully built).
     logical: u8,

@@ -7,8 +7,6 @@
 //! bases are almost never the best choice. This module reproduces that
 //! study.
 
-use serde::Serialize;
-
 use crate::codec::{compress_with_layout, decompress};
 use crate::fold;
 use crate::layout::{BaseSize, ChunkLayout};
@@ -28,7 +26,7 @@ pub const EXPLORER_CHOICES: [(BaseSize, usize); 7] = [
 ];
 
 /// Result of the full-BDI exploration for one register write.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum BestChoice {
     /// The layout achieving the highest compression ratio.
     Layout(ChunkLayout),

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::LayoutError;
 use crate::register::WARP_REGISTER_BYTES;
 
@@ -15,7 +13,7 @@ pub const BANK_BYTES: usize = 16;
 /// The paper's Table 1 explores 1-, 2-, 4- and 8-byte bases; the runtime
 /// scheme only ever uses [`BaseSize::B4`] because GPU thread registers are
 /// written at 4-byte granularity (§4, Fig. 5).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BaseSize {
     /// 1-byte chunks.
     B1,
@@ -60,7 +58,7 @@ impl fmt::Display for BaseSize {
 /// assert_eq!(l.compressed_len(), 35);  // 4 + 1 * 31   (Eq. 1)
 /// assert_eq!(l.banks_required(), 3);   // ceil(35 / 16)
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ChunkLayout {
     base: BaseSize,
     delta_bytes: usize,
@@ -136,7 +134,7 @@ impl fmt::Display for ChunkLayout {
 }
 
 /// One row of the paper's Table 1.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TableOneRow {
     /// Base chunk size in bytes.
     pub base_bytes: usize,

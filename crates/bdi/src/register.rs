@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use serde::{Deserialize, Serialize};
-
 /// Number of threads in a warp (NVIDIA/CUDA convention, paper §2.1).
 pub const WARP_SIZE: usize = 32;
 
@@ -27,7 +25,7 @@ pub const WARP_REGISTER_BYTES: usize = WARP_SIZE * 4;
 /// assert_eq!(reg[31], 7);
 /// assert!(reg.lanes().all(|v| v == 7));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WarpRegister([u32; WARP_SIZE]);
 
 impl WarpRegister {

@@ -60,7 +60,9 @@ pub fn table1() -> FigureTable {
 pub fn table2() -> FigureTable {
     let cfg = DesignPoint::WarpedCompression.config();
     let kv: Vec<(&str, String)> = vec![
-        ("SMs / GPU", cfg.num_sms.to_string()),
+        // The paper's chip size; the simulator models one SM, since
+        // register-file energy is per SM.
+        ("SMs / GPU", "15".to_string()),
         ("Warp schedulers / SM", cfg.num_schedulers.to_string()),
         ("Warp scheduling policy", format!("{:?}", cfg.scheduler)),
         ("SIMT lane width", simt_isa::WARP_SIZE.to_string()),
@@ -970,6 +972,10 @@ mod tests {
 
     #[test]
     fn static_tables_have_expected_entries() {
+        assert!(table2()
+            .rows
+            .iter()
+            .any(|r| r[0] == "SMs / GPU" && r[1] == "15"));
         assert!(table2()
             .rows
             .iter()

@@ -1,14 +1,14 @@
 //! Deterministic JSON building shared by the hand-rolled report
 //! writers.
 //!
-//! The vendored `serde` is a no-op marker shim, so every
-//! machine-readable report (`analyze --json`, `BENCH_predict.json`,
-//! `BENCH_faults.json`, `BENCH_perf.json`) is rendered by hand. This
-//! module is the single copy of that discipline — insertion-ordered
-//! keys, `": "` separators, two-space indentation, floats through
-//! Rust's shortest-round-trip formatter — so a document is
-//! byte-identical across runs and resumed checkpoint fragments can be
-//! spliced in verbatim. Public so the workspace's report-writing
+//! Every machine-readable report (`analyze --json`,
+//! `BENCH_predict.json`, `BENCH_faults.json`, `BENCH_perf.json`) is
+//! rendered by hand, with no serialisation library. This module is the
+//! single copy of that discipline — insertion-ordered keys, `": "`
+//! separators, two-space indentation, floats through Rust's
+//! shortest-round-trip formatter — so a document is byte-identical
+//! across runs and resumed checkpoint fragments can be spliced in
+//! verbatim. Public so the workspace's report-writing
 //! binaries (e.g. `wcperf`) share it too.
 
 use std::fmt::Display;

@@ -1,9 +1,7 @@
 //! A rendered figure/table: headers plus rows of cells.
 
-use serde::Serialize;
-
 /// One regenerated table or figure, ready for rendering.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FigureTable {
     /// Identifier, e.g. `"fig8"`.
     pub id: String,

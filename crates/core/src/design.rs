@@ -2,11 +2,10 @@
 
 use bdi::{ChoiceSet, FixedChoice};
 use gpu_sim::{DivergencePolicy, GpuConfig, SchedulerPolicy};
-use serde::{Deserialize, Serialize};
 
 /// A named hardware design point evaluated somewhere in §6. Each maps to
 /// a complete [`GpuConfig`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DesignPoint {
     /// The uncompressed baseline GPU (no compressor hardware, no gating).
     Baseline,

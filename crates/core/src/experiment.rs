@@ -5,13 +5,12 @@ use gpu_power::{ActivityCounts, EnergyModel, EnergyParams, EnergyReport};
 use gpu_sim::{GpuConfig, GpuSim, SimError, SimStats};
 use gpu_workloads::Workload;
 use rayon::prelude::*;
-use serde::Serialize;
 
 use crate::explorer::ChoiceBreakdown;
 use crate::similarity::SimilarityHistogram;
 
 /// Everything one (workload, design point) run produces.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct RunOutput {
     /// Benchmark name.
     pub name: String,

@@ -2,12 +2,11 @@
 
 use bdi::{explore_best_choice, BaseSize, ChunkLayout};
 use gpu_sim::WriteEvent;
-use serde::Serialize;
 
 /// How often the full BDI explorer picked each ⟨base, delta⟩ pair, as a
 /// fraction of register writes — the data behind Fig. 5, which justifies
 /// restricting the hardware to the three 4-byte-base choices.
-#[derive(Clone, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ChoiceBreakdown {
     counts: [u64; 7], // indexed like bdi::EXPLORER_CHOICES
     uncompressed: u64,

@@ -34,7 +34,6 @@ use std::collections::BTreeMap;
 use gpu_sim::{GpuSim, MemEvent, SimError, SimStats};
 use gpu_workloads::Workload;
 use rayon::prelude::*;
-use serde::Serialize;
 use simt_analysis::{
     bound_kernel_with, schedule_kernel_with, IssuePlan, LaunchAnalysis, MemAbs, PerfPrediction,
     ScheduleBail,
@@ -45,7 +44,7 @@ use crate::launch::LaunchFacts;
 use crate::perfbound::perf_machine;
 
 /// One static load/store site joined with its traced traffic.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SiteCheck {
     /// The pc of the `ld`/`st`.
     pub pc: usize,
@@ -81,7 +80,7 @@ impl SiteCheck {
 /// One cross-warp conflicting access pair the *run* actually produced:
 /// a traced store and a traced access of the same word by different
 /// warps.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TracedConflict {
     /// The storing pc.
     pub store_pc: usize,
@@ -97,7 +96,7 @@ pub struct TracedConflict {
 
 /// How the static issue scheduler fared on this kernel, for the
 /// precision-payoff attribution `wcsim mem` reports.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScheduleCheck {
     /// Whether the scheduler closed the kernel statically.
     pub static_mode: bool,
@@ -114,7 +113,7 @@ pub struct ScheduleCheck {
 }
 
 /// The full static-vs-traced memory report for one kernel.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct MemReport {
     /// Benchmark name.
     pub kernel: String,

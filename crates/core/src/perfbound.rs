@@ -21,7 +21,6 @@ use gpu_power::{EnergyModel, EnergyParams, PerfComparison};
 use gpu_sim::{GpuConfig, GpuSim, SimError, SimStats};
 use gpu_workloads::Workload;
 use rayon::prelude::*;
-use serde::Serialize;
 use simt_analysis::{bound_kernel, PerfMachine, PerfPrediction};
 
 use crate::design::DesignPoint;
@@ -48,7 +47,7 @@ pub fn perf_machine(cfg: &GpuConfig) -> PerfMachine {
 
 /// One guaranteed-conflict site's static stall floor joined with the
 /// simulator's per-PC operand-fetch stall attribution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ConflictCheck {
     /// Pc of the conflicting instruction.
     pub pc: usize,
@@ -70,7 +69,7 @@ impl ConflictCheck {
 
 /// A full static-vs-measured performance report for one kernel under
 /// one design point.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct PerfReport {
     /// Benchmark name.
     pub kernel: String,

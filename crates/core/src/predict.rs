@@ -20,14 +20,13 @@ use gpu_power::CompressibilityComparison;
 use gpu_sim::{SimError, WriteEvent};
 use gpu_workloads::Workload;
 use rayon::prelude::*;
-use serde::Serialize;
 use simt_analysis::{analyze_with_launch, KernelPrediction};
 
 use crate::design::DesignPoint;
 use crate::launch::LaunchFacts;
 
 /// How a static site prediction compared against the simulated run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SiteOutcome {
     /// Static class equals the worst class stored at this site.
     Exact,
@@ -49,7 +48,7 @@ impl SiteOutcome {
 }
 
 /// One write site's static prediction joined with what the run stored.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SiteValidation {
     /// Program counter of the writing instruction.
     pub pc: usize,
@@ -67,7 +66,7 @@ pub struct SiteValidation {
 }
 
 /// A full static-vs-dynamic compressibility report for one kernel.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct PredictReport {
     /// Benchmark name.
     pub kernel: String,

@@ -116,7 +116,7 @@ pub struct RunRecord<R = RunOutput> {
 thread_local! {
     /// Set while a harness `catch_unwind` is active on this thread, so
     /// the chained panic hook knows to capture instead of print.
-    static CAPTURE: RefCell<Option<(String, String)>> = const { RefCell::new(None) };
+    static CAPTURE: RefCell<Option<PanicCapture>> = const { RefCell::new(None) };
     static CAPTURING: RefCell<bool> = const { RefCell::new(false) };
 }
 
@@ -137,12 +137,14 @@ fn install_capture_hook() {
                         None => "non-string panic payload".to_string(),
                     },
                 };
-                let message = match info.location() {
-                    Some(loc) => format!("{message} (at {}:{})", loc.file(), loc.line()),
-                    None => message,
+                let capture = PanicCapture {
+                    message,
+                    location: info
+                        .location()
+                        .map(|loc| format!("{}:{}", loc.file(), loc.line())),
+                    backtrace: std::backtrace::Backtrace::force_capture().to_string(),
                 };
-                let backtrace = std::backtrace::Backtrace::force_capture().to_string();
-                CAPTURE.with(|c| *c.borrow_mut() = Some((message, backtrace)));
+                CAPTURE.with(|c| *c.borrow_mut() = Some(capture));
             } else {
                 previous(info);
             }
@@ -151,12 +153,15 @@ fn install_capture_hook() {
 }
 
 /// The payload of a panic caught by [`catch_panic`]: the rendered
-/// message (with source location when known) and the backtrace the
+/// message, its source location when known and the backtrace the
 /// chained panic hook captured at unwind time.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PanicCapture {
-    /// Panic payload, with source location when known.
+    /// Panic payload. The location is kept apart, so a message that
+    /// ends up in a report does not change when source lines move.
     pub message: String,
+    /// `<file>:<line>` of the panic, when known.
+    pub location: Option<String>,
     /// Backtrace captured inside the panic hook.
     pub backtrace: String,
 }
@@ -174,19 +179,23 @@ pub fn catch_panic<R>(f: impl FnOnce() -> R) -> Result<R, PanicCapture> {
     CAPTURING.with(|c| *c.borrow_mut() = false);
     match caught {
         Ok(value) => Ok(value),
-        Err(_) => {
-            let (message, backtrace) = CAPTURE
-                .with(|c| c.borrow_mut().take())
-                .unwrap_or_else(|| ("panic hook captured nothing".into(), String::new()));
-            Err(PanicCapture { message, backtrace })
-        }
+        Err(_) => Err(CAPTURE
+            .with(|c| c.borrow_mut().take())
+            .unwrap_or_else(|| PanicCapture {
+                message: "panic hook captured nothing".into(),
+                location: None,
+                backtrace: String::new(),
+            })),
     }
 }
 
 /// One attempt under `catch_unwind`, translating a panic into a status.
 fn attempt<R>(run: impl FnOnce() -> Result<R, SimError>) -> Result<Result<R, SimError>, RunStatus> {
     catch_panic(run).map_err(|p| RunStatus::Panicked {
-        message: p.message,
+        message: match p.location {
+            Some(loc) => format!("{} (at {loc})", p.message),
+            None => p.message,
+        },
         backtrace: p.backtrace,
     })
 }

@@ -30,7 +30,6 @@ use gpu_power::{EnergyModel, EnergyParams, ScheduleComparison};
 use gpu_sim::{FinalRegs, GlobalMemory, GpuSim, SimError, SimStats};
 use gpu_workloads::Workload;
 use rayon::prelude::*;
-use serde::Serialize;
 use simt_analysis::{
     bound_kernel_with, schedule_kernel_with, IssuePlan, LaunchAnalysis, ScheduleBail,
 };
@@ -61,7 +60,7 @@ pub fn schedule_slack(dynamic_cycles: u64) -> u64 {
 }
 
 /// How a kernel was executed for its schedule report.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ScheduleMode {
     /// The scheduler closed the kernel statically and the plan was
     /// replayed on the scheduled backend.
@@ -83,7 +82,7 @@ impl ScheduleMode {
 
 /// A full static-schedule-vs-dynamic report for one kernel under one
 /// design point.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ScheduleReport {
     /// Benchmark name.
     pub kernel: String,

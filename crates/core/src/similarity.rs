@@ -10,10 +10,9 @@
 
 use bdi::WarpRegister;
 use gpu_sim::WriteEvent;
-use serde::{Deserialize, Serialize};
 
 /// The four Fig. 2 bins.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SimilarityBin {
     /// Successive thread registers are identical.
     Zero,
@@ -58,7 +57,7 @@ impl SimilarityBin {
 
 /// Counts of register writes per bin, split by divergence phase — the
 /// data behind one benchmark's pair of Fig. 2 bars.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SimilarityHistogram {
     nondiv: [u64; 4],
     div: [u64; 4],

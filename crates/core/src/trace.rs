@@ -8,13 +8,12 @@
 
 use bdi::{BdiCodec, ChoiceSet, CompressionClass, WarpRegister, WARP_REGISTER_BYTES};
 use gpu_sim::WriteEvent;
-use serde::{Deserialize, Serialize};
 
 use crate::explorer::ChoiceBreakdown;
 use crate::similarity::SimilarityHistogram;
 
 /// A recorded stream of register writes.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct WriteTrace {
     values: Vec<WarpRegister>,
     divergent: Vec<bool>,

@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::operand::{Operand, Reg};
 
 /// Two-source ALU operations. All operate on 32-bit values per thread;
 /// comparisons produce 0/1 predicates in a regular register.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AluOp {
     /// Wrapping addition.
     Add,
@@ -115,7 +113,7 @@ impl fmt::Display for AluOp {
 }
 
 /// Coarse execution-latency classes used by the pipeline model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LatencyClass {
     /// Simple integer ALU op.
     Alu,
@@ -132,7 +130,7 @@ pub enum LatencyClass {
 /// at build time).
 ///
 /// [`KernelBuilder`]: crate::KernelBuilder
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Instruction {
     /// `dst = src` (also the decompression dummy-MOV the arbiter injects —
     /// the simulator synthesises those, kernels may also use real MOVs).

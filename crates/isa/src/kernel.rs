@@ -3,8 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::instr::{ControlFlow, Instruction};
 
 /// A validated kernel: what a CUDA `__global__` function compiles to in
@@ -15,7 +13,7 @@ use crate::instr::{ControlFlow, Instruction};
 /// * every register index referenced is `< num_regs`,
 /// * the last reachable instruction cannot fall off the end (the kernel
 ///   ends in `Exit` or an unconditional `Jmp`).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Kernel {
     name: String,
     instrs: Vec<Instruction>,

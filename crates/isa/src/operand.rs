@@ -2,16 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// An architectural (warp) register index.
 ///
 /// Each thread of the warp holds its own 32-bit value for this register;
 /// the set of 32 values is the *warp register* that warped-compression
 /// compresses.
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Reg(pub u8);
 
 impl Reg {
@@ -29,7 +25,7 @@ impl fmt::Display for Reg {
 
 /// Built-in per-thread or per-block values, the CUDA specials that drive
 /// the thread-index value patterns of §3.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Special {
     /// Thread index within the block (`threadIdx.x`): differs by 1 between
     /// consecutive lanes — the canonical ⟨4,1⟩-compressible value.
@@ -64,7 +60,7 @@ impl fmt::Display for Special {
 }
 
 /// A source operand.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// A register value (per-thread).
     Reg(Reg),

@@ -16,8 +16,6 @@
 //! * [`taken_mask`] — which active lanes a branch predicate sends to
 //!   the target.
 
-use serde::{Deserialize, Serialize};
-
 use crate::operand::Special;
 
 /// Threads per warp (Table 2: 32). Thread masks are `u32`, one bit per
@@ -27,7 +25,7 @@ pub const WARP_SIZE: usize = 32;
 /// Sentinel reconvergence pc of the base entry: never popped by pc match.
 const TOP_LEVEL: usize = usize::MAX;
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Entry {
     pc: usize,
     mask: u32,
@@ -46,7 +44,7 @@ struct Entry {
 /// assert_eq!(s.pc(), Some(10));                // taken path runs first
 /// assert_eq!(s.mask(), 0x3);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimtStack {
     entries: Vec<Entry>,
 }

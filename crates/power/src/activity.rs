@@ -1,10 +1,9 @@
 //! Activity counters consumed by the energy model.
 
 use gpu_regfile::{GatingMode, RegFileStats};
-use serde::{Deserialize, Serialize};
 
 /// What an empty bank's low-power state costs in leakage.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum LowPowerKind {
     /// Power-gated: zero leakage (§5.3).
     #[default]
@@ -27,7 +26,7 @@ impl From<GatingMode> for LowPowerKind {
 /// The raw event counts the energy model multiplies by the Table 3
 /// constants. Produced by the simulator; see
 /// [`ActivityCounts::from_regfile`] for the usual construction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ActivityCounts {
     /// Bank read accesses (one per bank touched per operand read).
     pub bank_reads: u64,

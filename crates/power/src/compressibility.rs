@@ -11,11 +11,10 @@
 //! conservativeness check `wcsim predict` enforces per kernel.
 
 use bdi::CompressionClass;
-use serde::{Deserialize, Serialize};
 use simt_analysis::KernelPrediction;
 
 /// Static per-write gating bound lined up against one simulated run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CompressibilityComparison {
     /// Kernel the comparison describes.
     pub kernel: String,

@@ -10,11 +10,10 @@
 //! (the GREENER direction) would still have.
 
 use gpu_regfile::RegFileStats;
-use serde::{Deserialize, Serialize};
 use simt_analysis::LivenessSummary;
 
 /// Static-liveness bound lined up against one simulated run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct OccupancyComparison {
     /// Kernel the comparison describes.
     pub kernel: String,

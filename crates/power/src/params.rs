@@ -1,13 +1,11 @@
 //! The Table 3 energy constants and the design-space scaling knobs.
 
-use serde::{Deserialize, Serialize};
-
 /// Energy/power parameters of the register file and compression units.
 ///
 /// Defaults reproduce the paper's Table 3 (45 nm, 1.0 V, 1.4 GHz). The
 /// three `*_scale`/`wire_activity` knobs drive the §6.7 sensitivity
 /// studies and default to the paper's baseline assumptions.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EnergyParams {
     /// Operating voltage in volts (Table 3: 1.0).
     pub voltage_v: f64,

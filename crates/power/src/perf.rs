@@ -10,7 +10,6 @@
 //! never spend less energy. `wcsim perf` gates on all three
 //! inequalities — cycles, bank accesses, energy.
 
-use serde::{Deserialize, Serialize};
 use simt_analysis::PerfPrediction;
 
 use crate::activity::{ActivityCounts, LowPowerKind};
@@ -18,7 +17,7 @@ use crate::model::EnergyModel;
 
 /// One kernel's static performance floor lined up against the counters
 /// of one simulated run under the same machine configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PerfComparison {
     /// Kernel the comparison describes.
     pub kernel: String,

@@ -1,11 +1,9 @@
 //! The energy breakdown report (the stacked bars of Fig. 9).
 
-use serde::{Deserialize, Serialize};
-
 /// Register-file energy broken into the four categories the paper stacks
 /// in Fig. 9: leakage, dynamic (bank + wire), compression and
 /// decompression. All values in picojoules.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EnergyReport {
     /// Bank SRAM + wire dynamic energy.
     pub dynamic_pj: f64,

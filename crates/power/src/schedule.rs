@@ -11,15 +11,13 @@
 //! peek-merged architecturally), so the scheduled side typically shows
 //! fewer decompressor activations under the §5.2 policy.
 
-use serde::{Deserialize, Serialize};
-
 use crate::activity::ActivityCounts;
 use crate::model::EnergyModel;
 
 /// One kernel's statically scheduled replay lined up against the
 /// dynamic run it was validated against, both priced through the same
 /// energy model.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ScheduleComparison {
     /// Kernel the comparison describes.
     pub kernel: String,

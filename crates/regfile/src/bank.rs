@@ -1,8 +1,6 @@
 //! A single SRAM bank: valid-entry tracking and the power-gating state
 //! machine of §5.3.
 
-use serde::{Deserialize, Serialize};
-
 /// Power state of one register bank.
 ///
 /// A bank becomes a gating candidate when it holds no valid entries; it
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// hysteresis interval, which prevents gate/wake thrash when a
 /// register's footprint oscillates. Waking costs `wakeup_latency` cycles
 /// (Table 2: 10).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PowerState {
     /// Powered and usable.
     On,
@@ -34,7 +32,7 @@ pub enum PowerState {
 /// power gating and energy accounting need.
 ///
 /// [`RegisterFile`]: crate::RegisterFile
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Bank {
     valid_entries: usize,
     state: PowerState,

@@ -1,7 +1,5 @@
 //! Register file configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Leakage-management policy for empty register banks.
 ///
 /// `PowerGate` is the paper's §5.3 mechanism. `Drowsy` models the
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// cycle — a classic leakage-saving vs wake-latency trade-off.
 ///
 /// [`EnergyParams::drowsy_leakage_fraction`]: https://docs.rs/gpu-power
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum GatingMode {
     /// No leakage management — the uncompressed baseline, where every
     /// bank holds live data anyway.
@@ -36,7 +34,7 @@ impl GatingMode {
 ///
 /// Defaults come straight from the paper's Table 2: 32 banks × 128 bit ×
 /// 256 entries (128 KB), 10-cycle bank wake-up.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RegFileConfig {
     /// Total number of SRAM banks (Table 2: 32).
     pub num_banks: usize,

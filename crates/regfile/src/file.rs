@@ -4,7 +4,6 @@ use std::error::Error;
 use std::fmt;
 
 use bdi::{CompressedRegister, CompressionIndicator};
-use serde::{Deserialize, Serialize};
 
 use crate::bank::Bank;
 use crate::config::RegFileConfig;
@@ -13,7 +12,7 @@ use crate::stats::RegFileStats;
 /// A hardware warp slot within one SM (0..max_warps). Warp slot *s* maps
 /// to bank cluster `s % num_clusters`, so consecutively-launched warps
 /// spread across clusters — the allocation the paper assumes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WarpSlot(pub usize);
 
 /// One architectural register's stored state.

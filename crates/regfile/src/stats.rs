@@ -1,10 +1,8 @@
 //! Register-file access and gating statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Snapshot of the register file's physical activity counters — the raw
 /// inputs of the `gpu-power` energy model and of Fig. 10.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RegFileStats {
     /// Read accesses per physical bank.
     pub bank_reads: Vec<u64>,

@@ -2,11 +2,10 @@
 
 use bdi::ChoiceSet;
 use gpu_regfile::RegFileConfig;
-use serde::{Deserialize, Serialize};
 use simt_isa::LatencyClass;
 
 /// Warp scheduling policy (§6.5).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SchedulerPolicy {
     /// Greedy-Then-Oldest: keep issuing from the same warp until it
     /// stalls, then switch to the oldest ready warp (Table 2 default).
@@ -16,7 +15,7 @@ pub enum SchedulerPolicy {
 }
 
 /// How divergent register writes interact with compression (§5.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DivergencePolicy {
     /// The paper's choice: registers written by divergent instructions
     /// are stored uncompressed; a compressed destination is first
@@ -29,7 +28,7 @@ pub enum DivergencePolicy {
 }
 
 /// Compression datapath configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CompressionConfig {
     /// The BDI choices the compressor may use. `ChoiceSet::disabled()`
     /// yields the no-compression baseline.
@@ -82,11 +81,8 @@ impl CompressionConfig {
 /// Constructors [`GpuConfig::baseline`] and
 /// [`GpuConfig::warped_compression`] give the two designs the paper
 /// compares; everything else is a field tweak away.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GpuConfig {
-    /// SMs on the chip (Table 2: 15). The simulator models one SM; this
-    /// only scales whole-chip reporting.
-    pub num_sms: usize,
     /// Maximum resident warps per SM (Table 2: 48).
     pub max_warps_per_sm: usize,
     /// Warp schedulers per SM (Table 2: 2); warp slot *s* belongs to
@@ -118,7 +114,6 @@ impl GpuConfig {
     /// The paper's baseline GPU: no compression, no power gating.
     pub fn baseline() -> Self {
         GpuConfig {
-            num_sms: 15,
             max_warps_per_sm: 48,
             num_schedulers: 2,
             scheduler: SchedulerPolicy::Gto,

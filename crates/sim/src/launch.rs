@@ -3,7 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use simt_isa::{WarpCoords, WARP_SIZE};
 
 /// A structurally invalid launch geometry, reported by
@@ -31,7 +30,7 @@ impl fmt::Display for LaunchError {
 impl Error for LaunchError {}
 
 /// A kernel launch: `<<<blocks, threads_per_block>>>(params…)`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LaunchConfig {
     blocks: usize,
     threads_per_block: usize,

@@ -60,7 +60,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod chip;
 mod config;
 mod datapath;
 mod launch;
@@ -73,7 +72,6 @@ mod sm;
 mod stats;
 mod warp;
 
-pub use chip::ChipResult;
 pub use config::{CompressionConfig, DivergencePolicy, GpuConfig, SchedulerPolicy};
 pub use launch::{LaunchConfig, LaunchError};
 pub use memory::{GlobalMemory, MemoryFault};

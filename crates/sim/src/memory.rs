@@ -3,8 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// An out-of-range global memory access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MemoryFault {
@@ -31,7 +29,7 @@ impl Error for MemoryFault {}
 /// The paper's observations hinge on register *values*, so a flat
 /// fixed-latency memory (latency modelled in the pipeline, not here) is a
 /// faithful substitute for GPGPU-Sim's DRAM model.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GlobalMemory {
     words: Vec<u32>,
 }
@@ -104,11 +102,6 @@ impl GlobalMemory {
     /// The full word array.
     pub fn words(&self) -> &[u32] {
         &self.words
-    }
-
-    /// Mutable view for host-side initialisation.
-    pub fn words_mut(&mut self) -> &mut [u32] {
-        &mut self.words
     }
 }
 

@@ -232,7 +232,7 @@ impl GpuSim {
         memory: &mut GlobalMemory,
         probes: &mut Probes<'_>,
     ) -> Result<SimResult, SimError> {
-        self.run_block_range(kernel, launch, memory, 0..launch.blocks(), probes)
+        Engine::new(&self.cfg, kernel, launch, memory, probes)?.run_loop()
     }
 
     /// [`run_with`](Self::run_with) with only the register-write probe
@@ -296,19 +296,6 @@ impl GpuSim {
         self.run_with(kernel, launch, memory, &mut probes)
     }
 
-    /// Runs only the blocks in `range` of the launch on this SM — the
-    /// building block of [`run_chip`](Self::run_chip).
-    pub(crate) fn run_block_range(
-        &self,
-        kernel: &Kernel,
-        launch: &LaunchConfig,
-        memory: &mut GlobalMemory,
-        range: std::ops::Range<usize>,
-        probes: &mut Probes<'_>,
-    ) -> Result<SimResult, SimError> {
-        Engine::new(&self.cfg, kernel, launch, memory, range, probes)?.run_loop()
-    }
-
     /// Runs a kernel with the given fault injector armed in the register
     /// file. Unlike [`run`](Self::run), the fault event log is returned
     /// even when the simulation fails — a detected uncorrectable error
@@ -323,14 +310,7 @@ impl GpuSim {
         injector: gpu_faults::FaultInjector,
     ) -> (Result<SimResult, SimError>, gpu_faults::FaultLog) {
         let mut probes = Probes::default();
-        let engine = Engine::new(
-            self.config(),
-            kernel,
-            launch,
-            memory,
-            0..launch.blocks(),
-            &mut probes,
-        );
+        let engine = Engine::new(self.config(), kernel, launch, memory, &mut probes);
         match engine {
             Ok(mut engine) => {
                 engine.dp.regfile.arm_faults(injector);
@@ -509,7 +489,6 @@ impl<'a, 'p> Engine<'a, 'p> {
         kernel: &'a Kernel,
         launch: &'a LaunchConfig,
         memory: &'a mut GlobalMemory,
-        block_range: std::ops::Range<usize>,
         probes: &'a mut Probes<'p>,
     ) -> Result<Self, SimError> {
         let max_resident = datapath::max_resident(cfg, kernel);
@@ -542,8 +521,8 @@ impl<'a, 'p> Engine<'a, 'p> {
             now: 0,
             comp_starts: 0,
             decomp_starts: 0,
-            next_block: block_range.start,
-            last_block: block_range.end,
+            next_block: 0,
+            last_block: launch.blocks(),
             stats: SimStats::default(),
             last_progress: 0,
             #[cfg(feature = "sanitize")]

@@ -4,7 +4,6 @@ use std::collections::BTreeMap;
 
 use bdi::{CompressionClass, WarpRegister};
 use gpu_regfile::{GatingMode, RegFileStats};
-use serde::{Deserialize, Serialize};
 
 /// One retired register write, delivered to the observer callback.
 ///
@@ -77,7 +76,7 @@ impl MemEvent {
 }
 
 /// Coalescer traffic charged to one program counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PcMemTraffic {
     /// Dynamic load/store dispatches at this pc.
     pub accesses: u64,
@@ -91,7 +90,7 @@ pub struct PcMemTraffic {
 /// segments its active lanes touch — the same coalescing model the
 /// static analyzer's `min_transactions` floor assumes, so the floor
 /// check is `floor ≤ transactions / accesses` per site.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemTrafficStats {
     /// Traffic counters per program counter.
     pub by_pc: BTreeMap<usize, PcMemTraffic>,
@@ -124,7 +123,7 @@ impl MemTrafficStats {
 
 /// The Fig. 12 census: compressed-register counts sampled periodically,
 /// bucketed by the sampled warp's divergence phase.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CensusStats {
     /// Compressed registers observed while the owning warp was
     /// non-divergent.
@@ -165,7 +164,7 @@ fn fraction(num: u64, den: u64) -> f64 {
 /// `collector_retry_cycles` equals `BankConflict + Decompressor` by
 /// construction (tested below), and the static analyzer's per-PC
 /// conflict bounds are compared against exactly that pair.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum StallCause {
     /// An operand fetch lost the bank read-port arbitration.
     BankConflict,
@@ -205,7 +204,7 @@ impl StallCause {
 }
 
 /// Per-cause stall cycles charged to one program counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PcStalls {
     /// Operand-fetch bank-port losses.
     pub bank_conflict: u64,
@@ -260,7 +259,7 @@ impl PcStalls {
 /// the pc of the program instruction they shadow — same convention as
 /// [`WriteEvent::pc`]). The `BTreeMap` keeps report iteration
 /// deterministic.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StallStats {
     /// Stall counters per program counter.
     pub by_pc: BTreeMap<usize, PcStalls>,
@@ -289,7 +288,7 @@ impl StallStats {
 }
 
 /// Aggregate statistics of one simulation run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SimStats {
     /// Total simulated cycles.
     pub cycles: u64,

@@ -1,13 +1,12 @@
 //! The workload container.
 
 use gpu_sim::{GlobalMemory, LaunchConfig};
-use serde::{Deserialize, Serialize};
 use simt_isa::Kernel;
 
 /// The divergence character a workload is designed to exhibit — used by
 /// tests to verify the synthetic kernels reproduce their CUDA
 /// counterparts' behaviour.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DivergenceProfile {
     /// No divergent instructions at all (the paper's `AES`).
     None,

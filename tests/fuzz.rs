@@ -141,6 +141,37 @@ fn reproducers_reassemble_into_the_shrunk_kernel() {
     assert_eq!(reassembled, shrunk.kernel);
 }
 
+/// Obligation 3d: a panic's reproducer names the panic message only,
+/// not its source location, so it stays byte-stable when unrelated
+/// lines above the `panic!` move.
+#[test]
+fn injected_panic_reproducers_carry_no_source_location() {
+    for (mutation, detail) in [
+        (
+            Mutation::InjectPanic,
+            "# detail: fuzz: injected panic (mutation smoke test)",
+        ),
+        (
+            Mutation::InjectSanitizePanic,
+            "# detail: sanitize: injected hazard-oracle violation (mutation smoke test)",
+        ),
+    ] {
+        let cfg = FuzzConfig {
+            mutation: Some(mutation),
+            ..FuzzConfig::default()
+        };
+        let finding = run_case(&cfg, 0)
+            .finding
+            .expect("an injected panic is caught on the first case");
+        let details: Vec<&str> = finding
+            .reproducer
+            .lines()
+            .filter(|l| l.starts_with("# detail:"))
+            .collect();
+        assert_eq!(details, [detail], "{}", mutation.name());
+    }
+}
+
 /// Obligation 1b: a kernel that never exits is the watchdog's, and
 /// its run is the first thing to report it: the perfbound floor, whose
 /// concrete replay would follow the loop for its whole fuel, is only
