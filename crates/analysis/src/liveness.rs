@@ -5,8 +5,8 @@
 //! program point, which architectural registers hold a value that some
 //! future instruction may still read. Registers outside that set are
 //! dead weight — banks holding them could be drowsy/off without
-//! affecting the computation, which is the static upper bound the
-//! `gpu-power` crate compares against measured bank occupancy.
+//! affecting the computation. `wcsim analyze` reports the summary per
+//! kernel.
 
 use simt_isa::Instruction;
 
@@ -135,25 +135,6 @@ impl LivenessSummary {
             1.0 - self.avg_live / f64::from(self.num_regs)
         }
     }
-
-    /// `avg_live / num_regs`: mean fraction of registers holding a
-    /// value some future instruction may read.
-    pub fn avg_live_fraction(&self) -> f64 {
-        if self.num_regs == 0 {
-            0.0
-        } else {
-            self.avg_live / f64::from(self.num_regs)
-        }
-    }
-
-    /// `max_live / num_regs`: worst-case static register pressure.
-    pub fn max_live_fraction(&self) -> f64 {
-        if self.num_regs == 0 {
-            0.0
-        } else {
-            self.max_live as f64 / f64::from(self.num_regs)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -202,8 +183,7 @@ mod tests {
         assert_eq!(s.histogram.iter().sum::<usize>(), 4);
         assert!(s.avg_live > 0.0 && s.avg_live < 2.0);
         assert!(s.dead_fraction() > 0.0 && s.dead_fraction() < 1.0);
-        assert!((s.avg_live_fraction() + s.dead_fraction() - 1.0).abs() < 1e-12);
-        assert_eq!(s.max_live_fraction(), 1.0);
+        assert!((s.avg_live / 2.0 + s.dead_fraction() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -14,14 +14,7 @@ use warped_compression::{run_suite, DesignPoint, RunOutput};
 pub struct Campaign {
     workloads: Vec<Workload>,
     cache: HashMap<DesignPoint, Vec<RunOutput>>,
-    /// Seed for seeded experiments (per-kernel fault plans derive from
-    /// it). The default, 42, is the documented default of the CLI's
-    /// `--seed` flag.
-    seed: u64,
 }
-
-/// Default campaign seed (the CLI `--seed` default).
-pub const DEFAULT_SEED: u64 = 42;
 
 impl Campaign {
     /// A campaign over an explicit workload list (tests use small lists).
@@ -33,19 +26,7 @@ impl Campaign {
         Campaign {
             workloads,
             cache: HashMap::new(),
-            seed: DEFAULT_SEED,
         }
-    }
-
-    /// Returns the campaign with its experiment seed replaced.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// The campaign's experiment seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// A campaign over the full 18-benchmark suite.
@@ -110,25 +91,6 @@ impl Campaign {
     /// Number of design points simulated so far.
     pub fn points_run(&self) -> usize {
         self.cache.len()
-    }
-
-    /// Runs the seeded fault-injection campaign over this campaign's
-    /// workloads (warped-compression design point, per-kernel plans
-    /// derived from [`seed`](Self::seed)), panic-isolated per kernel.
-    #[cfg(feature = "faults")]
-    pub fn fault_reports(
-        &self,
-        protection: gpu_faults::ProtectionModel,
-        injections: usize,
-        policy: &warped_compression::RunPolicy,
-    ) -> Vec<warped_compression::RunRecord<warped_compression::KernelFaultReport>> {
-        warped_compression::run_fault_campaign(
-            &self.workloads,
-            protection,
-            injections,
-            self.seed,
-            policy,
-        )
     }
 }
 

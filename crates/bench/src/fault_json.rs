@@ -18,8 +18,8 @@ pub fn fault_record_json(record: &RunRecord<KernelFaultReport>) -> String {
     let obj = JsonObject::new(4)
         .string("kernel", &record.name)
         .string("status", record.status.label());
-    match (&record.status, &record.output) {
-        (RunStatus::Completed { .. }, Some(k)) => {
+    match &record.status {
+        RunStatus::Completed(k) => {
             let events: Vec<String> = k
                 .log
                 .events
@@ -80,17 +80,7 @@ pub fn fault_record_json(record: &RunRecord<KernelFaultReport>) -> String {
                 .field("energy_pj", opt_display(k.energy_pj))
                 .render_fragment()
         }
-        (RunStatus::Panicked { message, .. }, _) => {
-            obj.string("message", message).render_fragment()
-        }
-        (RunStatus::Failed { error }, _) => obj.string("message", error).render_fragment(),
-        (RunStatus::TimedOut { budget }, _) => {
-            obj.display("cycle_budget", budget).render_fragment()
-        }
-        // Completed always carries an output; keep the renderer total.
-        (RunStatus::Completed { .. }, None) => obj
-            .string("message", "completed without output")
-            .render_fragment(),
+        RunStatus::Panicked { message, .. } => obj.string("message", message).render_fragment(),
     }
 }
 
@@ -113,7 +103,6 @@ pub fn fault_campaign_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use warped_compression::RunPolicy;
 
     #[test]
     fn rendering_is_deterministic_and_structured() {
@@ -124,7 +113,6 @@ mod tests {
                 gpu_faults::ProtectionModel::SecDed,
                 4,
                 42,
-                &RunPolicy::default(),
             );
             let frags: Vec<String> = records.iter().map(fault_record_json).collect();
             fault_campaign_json(42, 4, "secded", &frags)
@@ -146,7 +134,6 @@ mod tests {
                 message: "say \"hi\"\nbye".into(),
                 backtrace: String::new(),
             },
-            output: None,
         };
         let json = fault_record_json(&record);
         assert!(json.contains("\"status\": \"panic\""));

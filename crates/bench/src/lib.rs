@@ -32,6 +32,6 @@ pub mod perf_json;
 pub mod schedule_json;
 mod table;
 
-pub use campaign::{Campaign, DEFAULT_SEED};
+pub use campaign::Campaign;
 pub use checkpoint::CheckpointStore;
 pub use table::FigureTable;

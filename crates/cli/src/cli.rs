@@ -8,10 +8,9 @@ use bdi::FixedChoice;
 use gpu_faults::ProtectionModel;
 use gpu_sim::{GlobalMemory, GpuSim, LaunchConfig};
 use warped_compression::{
-    perf_suite, perf_workload, run_workload, schedule_suite, schedule_workload, DesignPoint,
-    RunPolicy,
+    perf_suite, run_fault_campaign, run_workload, schedule_suite, DesignPoint, DEFAULT_SEED,
 };
-use wc_bench::{Campaign, CheckpointStore, DEFAULT_SEED};
+use wc_bench::CheckpointStore;
 
 use crate::report::{format_comparison, format_run};
 
@@ -69,8 +68,8 @@ pub enum Command {
         out: Option<String>,
     },
     /// `wcsim faults <workload|--all> [--injections N] [--seed S]
-    /// [--protection none|parity|secded] [--budget CYCLES]
-    /// [--resume DIR] [--out FILE]` — seeded fault-injection campaign.
+    /// [--protection none|parity|secded] [--resume DIR] [--out FILE]` —
+    /// seeded fault-injection campaign.
     Faults {
         /// Benchmark name; `None` runs the whole suite (`--all`).
         workload: Option<String>,
@@ -80,8 +79,6 @@ pub enum Command {
         seed: u64,
         /// Register-protection scheme to model.
         protection: ProtectionModel,
-        /// Watchdog cycle budget per run (`None` = simulator default).
-        budget: Option<u64>,
         /// Checkpoint directory: completed kernels are skipped and their
         /// saved fragments reused verbatim.
         resume: Option<String>,
@@ -169,8 +166,8 @@ USAGE:
                                      on any unsound site (default out:
                                      results/BENCH_predict.json)
   wcsim faults <workload|--all> [--injections N] [--seed S]
-               [--protection none|parity|secded] [--budget CYCLES]
-               [--resume DIR] [--out FILE]
+               [--protection none|parity|secded] [--resume DIR]
+               [--out FILE]
                                      seeded fault-injection campaign
                                      (defaults: 8 injections, seed 42,
                                      secded; fails if ECC lets any fault
@@ -243,38 +240,134 @@ const DESIGN_NAMES: &[&str] = &[
     "drowsy",
 ];
 
-/// Extracts the value of a `--flag PATH` pair, erroring when the flag
-/// is present without a value.
-fn take_path_flag(rest: &[&str], name: &str) -> Result<Option<String>, ParseError> {
-    rest.iter()
-        .position(|&a| a == name)
-        .map(|i| {
-            rest.get(i + 1)
-                .filter(|v| !v.starts_with("--"))
-                .map(|v| (*v).to_string())
-                .ok_or_else(|| ParseError(format!("{name} needs a file path")))
-        })
-        .transpose()
+/// The one value flag that may be given more than once.
+const REPEATABLE: &str = "--param";
+
+/// One subcommand's arguments, checked against what it accepts: every
+/// `--flag` is one of its value flags or switches, every value flag has
+/// a value that is not itself a flag, no flag but [`REPEATABLE`]
+/// repeats, and there are no more positionals than it takes.
+struct Args<'a> {
+    cmd: &'a str,
+    positionals: Vec<&'a str>,
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
 }
 
-/// Parses the `<workload|--all>` positional shared by the whole-suite
-/// subcommands (`analyze`, `predict`, `faults`, `perf`): the first
-/// non-flag argument that is not a flag's value, or `None` under
-/// `--all`. `flag_values` lists the arguments already consumed as flag
-/// values so they are not mistaken for the positional.
-fn workload_or_all(
-    cmd: &str,
-    rest: &[&str],
-    flag_values: &[&str],
-) -> Result<Option<String>, ParseError> {
-    let workload = rest
-        .iter()
-        .find(|a| !a.starts_with("--") && !flag_values.contains(*a))
-        .map(|s| (*s).to_string());
-    if workload.is_none() && !rest.contains(&"--all") {
-        return Err(ParseError(format!("{cmd} needs a workload name or --all")));
+impl<'a> Args<'a> {
+    fn parse(
+        cmd: &'a str,
+        rest: &'a [String],
+        positionals: usize,
+        values: &[&str],
+        switches: &[&str],
+    ) -> Result<Self, ParseError> {
+        let mut args = Args {
+            cmd,
+            positionals: Vec::new(),
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut it = rest.iter().map(String::as_str);
+        while let Some(arg) = it.next() {
+            if !arg.starts_with("--") {
+                if args.positionals.len() == positionals {
+                    return Err(ParseError(format!("{cmd}: unexpected argument `{arg}`")));
+                }
+                args.positionals.push(arg);
+                continue;
+            }
+            let seen = args.switches.contains(&arg) || args.value(arg).is_some();
+            if seen && arg != REPEATABLE {
+                return Err(ParseError(format!("{cmd}: {arg} given twice")));
+            }
+            if switches.contains(&arg) {
+                args.switches.push(arg);
+            } else if values.contains(&arg) {
+                let value = it
+                    .next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| ParseError(format!("{arg} needs a value")))?;
+                args.values.push((arg, value));
+            } else {
+                return Err(ParseError(format!("{cmd}: unknown flag `{arg}`\n{USAGE}")));
+            }
+        }
+        Ok(args)
     }
-    Ok(workload)
+
+    /// The value given for `flag`, if any (the first, for
+    /// [`REPEATABLE`]).
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.values
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| *v)
+    }
+
+    /// The value of `flag` as an owned string, if given.
+    fn string(&self, flag: &str) -> Option<String> {
+        self.value(flag).map(str::to_string)
+    }
+
+    /// `flag`'s value parsed as a number, or `default` when absent.
+    fn number<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, ParseError> {
+        self.value(flag)
+            .map_or(Ok(default), |v| parse_number(flag, v))
+    }
+
+    /// `flag`'s value parsed as a number; the flag is required.
+    fn required_number<T: std::str::FromStr>(&self, flag: &str) -> Result<T, ParseError> {
+        let v = self
+            .value(flag)
+            .ok_or_else(|| ParseError(format!("{} needs {flag} N", self.cmd)))?;
+        parse_number(flag, v)
+    }
+
+    /// The `--design` point, warped-compression when absent.
+    fn design(&self) -> Result<DesignPoint, ParseError> {
+        match self.value("--design") {
+            None => Ok(DesignPoint::WarpedCompression),
+            Some(name) => design_by_name(name).ok_or_else(|| {
+                ParseError(format!(
+                    "unknown design `{name}`; try: {}",
+                    DESIGN_NAMES.join(", ")
+                ))
+            }),
+        }
+    }
+
+    /// The required positional, `what` naming it in the error.
+    fn positional(&self, what: &str) -> Result<String, ParseError> {
+        self.positionals
+            .first()
+            .map(|p| (*p).to_string())
+            .ok_or_else(|| ParseError(format!("{} needs {what}", self.cmd)))
+    }
+
+    /// The `<workload|--all>` choice shared by the whole-suite
+    /// subcommands: the workload name, or `None` under `--all`.
+    fn workload_or_all(&self) -> Result<Option<String>, ParseError> {
+        match (self.positionals.first(), self.switches.contains(&"--all")) {
+            (Some(w), false) => Ok(Some((*w).to_string())),
+            (None, true) => Ok(None),
+            (Some(_), true) => Err(ParseError(format!(
+                "{} takes a workload name or --all, not both",
+                self.cmd
+            ))),
+            (None, false) => Err(ParseError(format!(
+                "{} needs a workload name or --all",
+                self.cmd
+            ))),
+        }
+    }
+}
+
+/// Parses `value` as the number `flag` takes.
+fn parse_number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, ParseError> {
+    value
+        .parse()
+        .map_err(|_| ParseError(format!("{flag} must be a number, not `{value}`")))
 }
 
 /// Resolves a parsed `<workload|--all>` into concrete workloads.
@@ -293,242 +386,141 @@ fn resolve_workloads(workload: Option<&str>) -> Result<Vec<gpu_workloads::Worklo
 /// [`ParseError`] with a user-facing message on any malformed input.
 pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, ParseError> {
     let args: Vec<String> = args.into_iter().collect();
-    let mut it = args.iter().map(String::as_str);
-    let cmd = match it.next() {
-        None | Some("--help") | Some("-h") | Some("help") => return Ok(Command::Help),
-        Some(c) => c,
+    let (cmd, rest) = match args.split_first() {
+        None => return Ok(Command::Help),
+        Some((cmd, _)) if matches!(cmd.as_str(), "--help" | "-h" | "help") => {
+            return Ok(Command::Help)
+        }
+        Some((cmd, rest)) => (cmd.as_str(), rest),
     };
-    let rest: Vec<&str> = it.collect();
+    let parse = |positionals, values: &[&str], switches: &[&str]| {
+        Args::parse(cmd, rest, positionals, values, switches)
+    };
 
-    let take_design = |rest: &[&str]| -> Result<DesignPoint, ParseError> {
-        match rest.iter().position(|&a| a == "--design") {
-            None => Ok(DesignPoint::WarpedCompression),
-            Some(i) => {
-                let name = rest
-                    .get(i + 1)
-                    .ok_or_else(|| ParseError("--design needs a value".into()))?;
-                design_by_name(name).ok_or_else(|| {
-                    ParseError(format!(
-                        "unknown design `{name}`; try: {}",
-                        DESIGN_NAMES.join(", ")
-                    ))
-                })
+    Ok(match cmd {
+        "list" => {
+            parse(0, &[], &[])?;
+            Command::List
+        }
+        "designs" => {
+            parse(0, &[], &[])?;
+            Command::Designs
+        }
+        "run" => {
+            let a = parse(1, &["--design"], &[])?;
+            Command::Run {
+                workload: a.positional("a workload name (or `all`)")?,
+                design: a.design()?,
             }
         }
-    };
-
-    match cmd {
-        "list" => Ok(Command::List),
-        "designs" => Ok(Command::Designs),
-        "run" => {
-            let workload = rest
-                .iter()
-                .find(|a| {
-                    !a.starts_with("--")
-                        && Some(**a)
-                            != rest
-                                .iter()
-                                .position(|&x| x == "--design")
-                                .and_then(|i| rest.get(i + 1))
-                                .copied()
-                })
-                .ok_or_else(|| ParseError("run needs a workload name (or `all`)".into()))?
-                .to_string();
-            Ok(Command::Run {
-                workload,
-                design: take_design(&rest)?,
-            })
-        }
+        "compare" => Command::Compare {
+            workload: parse(1, &[], &[])?.positional("a workload name")?,
+        },
         "analyze" => {
-            let deny_warnings = rest.contains(&"--deny-warnings");
-            let json = take_path_flag(&rest, "--json")?;
-            let flag_values: Vec<&str> = json.iter().map(String::as_str).collect();
-            let workload = workload_or_all("analyze", &rest, &flag_values)?;
-            Ok(Command::Analyze {
-                workload,
-                deny_warnings,
-                json,
-            })
+            let a = parse(1, &["--json"], &["--all", "--deny-warnings"])?;
+            Command::Analyze {
+                workload: a.workload_or_all()?,
+                deny_warnings: a.switches.contains(&"--deny-warnings"),
+                json: a.string("--json"),
+            }
         }
         "predict" => {
-            let out = take_path_flag(&rest, "--out")?;
-            let flag_values: Vec<&str> = out.iter().map(String::as_str).collect();
-            let workload = workload_or_all("predict", &rest, &flag_values)?;
-            Ok(Command::Predict { workload, out })
+            let a = parse(1, &["--out"], &["--all"])?;
+            Command::Predict {
+                workload: a.workload_or_all()?,
+                out: a.string("--out"),
+            }
         }
         "mem" => {
-            let out = take_path_flag(&rest, "--out")?;
-            let flag_values: Vec<&str> = out.iter().map(String::as_str).collect();
-            let workload = workload_or_all("mem", &rest, &flag_values)?;
-            Ok(Command::Mem { workload, out })
+            let a = parse(1, &["--out"], &["--all"])?;
+            Command::Mem {
+                workload: a.workload_or_all()?,
+                out: a.string("--out"),
+            }
         }
         "perf" => {
-            let out = take_path_flag(&rest, "--out")?;
-            let design_value = rest
-                .iter()
-                .position(|&a| a == "--design")
-                .and_then(|i| rest.get(i + 1))
-                .copied();
-            let flag_values: Vec<&str> =
-                out.iter().map(String::as_str).chain(design_value).collect();
-            let workload = workload_or_all("perf", &rest, &flag_values)?;
-            Ok(Command::Perf {
-                workload,
-                design: take_design(&rest)?,
-                out,
-            })
+            let a = parse(1, &["--design", "--out"], &["--all"])?;
+            Command::Perf {
+                workload: a.workload_or_all()?,
+                design: a.design()?,
+                out: a.string("--out"),
+            }
         }
         "schedule" => {
-            let out = take_path_flag(&rest, "--out")?;
-            let design_value = rest
-                .iter()
-                .position(|&a| a == "--design")
-                .and_then(|i| rest.get(i + 1))
-                .copied();
-            let flag_values: Vec<&str> =
-                out.iter().map(String::as_str).chain(design_value).collect();
-            let workload = workload_or_all("schedule", &rest, &flag_values)?;
-            Ok(Command::Schedule {
-                workload,
-                design: take_design(&rest)?,
-                out,
-            })
-        }
-        "compare" => {
-            let workload = rest
-                .first()
-                .filter(|a| !a.starts_with("--"))
-                .ok_or_else(|| ParseError("compare needs a workload name".into()))?
-                .to_string();
-            Ok(Command::Compare { workload })
+            let a = parse(1, &["--design", "--out"], &["--all"])?;
+            Command::Schedule {
+                workload: a.workload_or_all()?,
+                design: a.design()?,
+                out: a.string("--out"),
+            }
         }
         "faults" => {
-            let flag = |name: &str| -> Option<&str> {
-                rest.iter()
-                    .position(|&a| a == name)
-                    .and_then(|i| rest.get(i + 1))
-                    .copied()
-            };
-            let flag_values: Vec<&str> = [
-                "--injections",
-                "--seed",
-                "--protection",
-                "--budget",
-                "--resume",
-                "--out",
-            ]
-            .iter()
-            .filter_map(|f| flag(f))
-            .collect();
-            let workload = workload_or_all("faults", &rest, &flag_values)?;
-            let injections = match flag("--injections") {
-                None => 8,
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| ParseError("--injections must be a number".into()))?,
-            };
-            let seed = match flag("--seed") {
-                None => DEFAULT_SEED,
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| ParseError("--seed must be a u64".into()))?,
-            };
-            let protection = match flag("--protection") {
-                None => ProtectionModel::SecDed,
-                Some(v) => ProtectionModel::parse(v).ok_or_else(|| {
-                    ParseError(format!(
-                        "unknown protection `{v}`; try: none, parity, secded"
-                    ))
-                })?,
-            };
-            let budget = match flag("--budget") {
-                None => None,
-                Some(v) => Some(
-                    v.parse()
-                        .map_err(|_| ParseError("--budget must be a cycle count".into()))?,
-                ),
-            };
-            Ok(Command::Faults {
-                workload,
-                injections,
-                seed,
-                protection,
-                budget,
-                resume: flag("--resume").map(str::to_string),
-                out: flag("--out").map(str::to_string),
-            })
+            let a = parse(
+                1,
+                &[
+                    "--injections",
+                    "--seed",
+                    "--protection",
+                    "--resume",
+                    "--out",
+                ],
+                &["--all"],
+            )?;
+            Command::Faults {
+                workload: a.workload_or_all()?,
+                injections: a.number("--injections", 8)?,
+                seed: a.number("--seed", DEFAULT_SEED)?,
+                protection: match a.value("--protection") {
+                    None => ProtectionModel::SecDed,
+                    Some(v) => ProtectionModel::parse(v).ok_or_else(|| {
+                        ParseError(format!(
+                            "unknown protection `{v}`; try: none, parity, secded"
+                        ))
+                    })?,
+                },
+                resume: a.string("--resume"),
+                out: a.string("--out"),
+            }
         }
         "fuzz" => {
-            let flag = |name: &str| -> Option<&str> {
-                rest.iter()
-                    .position(|&a| a == name)
-                    .and_then(|i| rest.get(i + 1))
-                    .copied()
-            };
-            let parse_num = |name: &str, v: &str| -> Result<u64, ParseError> {
-                v.parse()
-                    .map_err(|_| ParseError(format!("{name} must be a number")))
-            };
-            let cases = match flag("--cases") {
-                None => 300,
-                Some(v) => parse_num("--cases", v)? as usize,
-            };
-            let seed = match flag("--seed") {
-                None => DEFAULT_SEED,
-                Some(v) => parse_num("--seed", v)?,
-            };
-            let budget = match flag("--budget") {
-                None => warped_compression::DEFAULT_CYCLE_BUDGET,
-                Some(v) => parse_num("--budget", v)?,
-            };
-            Ok(Command::Fuzz {
-                cases,
-                seed,
-                budget,
-                resume: flag("--resume").map(str::to_string),
-                out: flag("--out").map(str::to_string),
-                repro: flag("--repro").map(str::to_string),
-            })
+            let a = parse(
+                0,
+                &[
+                    "--cases", "--seed", "--budget", "--resume", "--out", "--repro",
+                ],
+                &[],
+            )?;
+            Command::Fuzz {
+                cases: a.number("--cases", 300)?,
+                seed: a.number("--seed", DEFAULT_SEED)?,
+                budget: a.number("--budget", warped_compression::DEFAULT_CYCLE_BUDGET)?,
+                resume: a.string("--resume"),
+                out: a.string("--out"),
+                repro: a.string("--repro"),
+            }
         }
         "kernel" => {
-            let path = rest
-                .first()
-                .filter(|a| !a.starts_with("--"))
-                .ok_or_else(|| ParseError("kernel needs a .s file path".into()))?
-                .to_string();
-            let flag = |name: &str| -> Option<&str> {
-                rest.iter()
-                    .position(|&a| a == name)
-                    .and_then(|i| rest.get(i + 1))
-                    .copied()
-            };
-            let parse_usize = |name: &str| -> Result<usize, ParseError> {
-                flag(name)
-                    .ok_or_else(|| ParseError(format!("kernel needs {name} N")))?
-                    .parse()
-                    .map_err(|_| ParseError(format!("{name} must be a number")))
-            };
-            let mut params = Vec::new();
-            for (i, a) in rest.iter().enumerate() {
-                if *a == "--param" {
-                    let v = rest
-                        .get(i + 1)
-                        .and_then(|v| v.parse::<u32>().ok())
-                        .ok_or_else(|| ParseError("--param needs a u32 value".into()))?;
-                    params.push(v);
-                }
+            let a = parse(
+                1,
+                &["--blocks", "--tpb", "--mem", "--param", "--design"],
+                &[],
+            )?;
+            Command::Kernel {
+                path: a.positional("a .s file path")?,
+                blocks: a.required_number("--blocks")?,
+                threads_per_block: a.required_number("--tpb")?,
+                mem_words: a.required_number("--mem")?,
+                params: a
+                    .values
+                    .iter()
+                    .filter(|(f, _)| *f == REPEATABLE)
+                    .map(|(f, v)| parse_number(f, v))
+                    .collect::<Result<_, _>>()?,
+                design: a.design()?,
             }
-            Ok(Command::Kernel {
-                path,
-                blocks: parse_usize("--blocks")?,
-                threads_per_block: parse_usize("--tpb")?,
-                mem_words: parse_usize("--mem")?,
-                params,
-                design: take_design(&rest)?,
-            })
         }
-        other => Err(ParseError(format!("unknown command `{other}`\n{USAGE}"))),
-    }
+        other => return Err(ParseError(format!("unknown command `{other}`\n{USAGE}"))),
+    })
 }
 
 /// Executes a parsed command, writing human-readable output to `out`.
@@ -697,24 +689,22 @@ pub fn run_cli(cmd: &Command, out: &mut dyn fmt::Write) -> Result<(), Box<dyn Er
             injections,
             seed,
             protection,
-            budget,
             resume,
             out: out_file,
         } => {
             let workloads = resolve_workloads(workload.as_deref())?;
-            let policy = RunPolicy {
-                cycle_budget: *budget,
-                ..RunPolicy::default()
-            };
             let store = resume.as_ref().map(CheckpointStore::new);
-            let design_label = DesignPoint::WarpedCompression.label();
+            // The checkpoint namespace carries everything that changes a
+            // kernel's fragment, so a different campaign's fragments are
+            // never resumed by accident.
+            let label = format!("seed{seed}-injections{injections}-{}", protection.name());
 
             // Split into checkpointed kernels (fragment reused verbatim,
             // keeping resumed reports byte-identical) and pending ones.
             let mut resumed: Vec<(String, String)> = Vec::new();
             let mut pending: Vec<gpu_workloads::Workload> = Vec::new();
             for w in &workloads {
-                match store.as_ref().and_then(|s| s.load(&design_label, w.name())) {
+                match store.as_ref().and_then(|s| s.load(&label, w.name())) {
                     Some(frag) => resumed.push((w.name().to_string(), frag)),
                     None => pending.push(w.clone()),
                 }
@@ -722,15 +712,12 @@ pub fn run_cli(cmd: &Command, out: &mut dyn fmt::Write) -> Result<(), Box<dyn Er
 
             // Fresh runs: the seeded campaign, panic-isolated per kernel.
             let mut fresh: Vec<(String, String)> = Vec::new();
-            if !pending.is_empty() {
-                let campaign = Campaign::new(pending).with_seed(*seed);
-                for record in campaign.fault_reports(*protection, *injections, &policy) {
-                    let frag = wc_bench::fault_json::fault_record_json(&record);
-                    if let Some(s) = &store {
-                        s.save(&design_label, &record.name, &frag)?;
-                    }
-                    fresh.push((record.name, frag));
+            for record in run_fault_campaign(&pending, *protection, *injections, *seed) {
+                let frag = wc_bench::fault_json::fault_record_json(&record);
+                if let Some(s) = &store {
+                    s.save(&label, &record.name, &frag)?;
                 }
+                fresh.push((record.name, frag));
             }
 
             // Assemble in suite order and summarise.
@@ -949,16 +936,7 @@ pub fn run_cli(cmd: &Command, out: &mut dyn fmt::Write) -> Result<(), Box<dyn Er
             out: out_file,
         } => {
             let workloads = resolve_workloads(workload.as_deref())?;
-            // The suite runner fixes the design point (it parallelises
-            // the default CI sweep); other designs go kernel-by-kernel.
-            let reports = if *design == DesignPoint::WarpedCompression {
-                perf_suite(&workloads)?
-            } else {
-                workloads
-                    .iter()
-                    .map(|w| perf_workload(w, *design))
-                    .collect::<Result<Vec<_>, _>>()?
-            };
+            let reports = perf_suite(&workloads, *design)?;
             let mut rows = Vec::new();
             let mut statuses = Vec::new();
             for r in &reports {
@@ -1023,16 +1001,7 @@ pub fn run_cli(cmd: &Command, out: &mut dyn fmt::Write) -> Result<(), Box<dyn Er
             out: out_file,
         } => {
             let workloads = resolve_workloads(workload.as_deref())?;
-            // The suite runner fixes the design point (it parallelises
-            // the default CI sweep); other designs go kernel-by-kernel.
-            let reports = if *design == DesignPoint::WarpedCompression {
-                schedule_suite(&workloads)?
-            } else {
-                workloads
-                    .iter()
-                    .map(|w| schedule_workload(w, *design))
-                    .collect::<Result<Vec<_>, _>>()?
-            };
+            let reports = schedule_suite(&workloads, *design)?;
             let mut rows = Vec::new();
             let mut statuses = Vec::new();
             for r in &reports {
@@ -1515,7 +1484,6 @@ mod tests {
                 injections: 8,
                 seed: 42,
                 protection: ProtectionModel::SecDed,
-                budget: None,
                 resume: None,
                 out: None,
             }
@@ -1530,8 +1498,6 @@ mod tests {
                 "7",
                 "--protection",
                 "parity",
-                "--budget",
-                "50000",
                 "--resume",
                 "ckpt",
                 "--out",
@@ -1543,7 +1509,6 @@ mod tests {
                 injections: 16,
                 seed: 7,
                 protection: ProtectionModel::Parity,
-                budget: Some(50_000),
                 resume: Some("ckpt".into()),
                 out: Some("r.json".into()),
             }
@@ -1553,13 +1518,36 @@ mod tests {
         assert!(parse(&["faults", "bfs", "--seed", "abc"]).is_err());
     }
 
+    /// Every subcommand reads its flags the same way: a value flag
+    /// without a value, a flag where a value belongs, an unknown flag,
+    /// a repeated flag and a stray positional are all errors.
+    #[test]
+    fn malformed_flags_are_rejected() {
+        let err = |args: &[&str]| parse(args).unwrap_err().0;
+        assert!(err(&["fuzz", "--cases"]).contains("--cases needs a value"));
+        assert!(err(&["faults", "lib", "--injections"]).contains("--injections needs a value"));
+        assert!(err(&["faults", "lib", "--out", "--seed", "7"]).contains("--out needs a value"));
+        assert!(err(&["run", "lib", "--design", "--all"]).contains("--design needs a value"));
+        assert!(err(&["predict", "lib", "--bogus"]).contains("unknown flag `--bogus`"));
+        assert!(err(&["faults", "--all", "--budget", "5"]).contains("unknown flag `--budget`"));
+        assert!(err(&["list", "--all"]).contains("unknown flag `--all`"));
+        assert!(err(&["fuzz", "--seed", "1", "--seed", "2"]).contains("--seed given twice"));
+        assert!(err(&["compare", "lib", "aes"]).contains("unexpected argument `aes`"));
+        assert!(err(&["fuzz", "300"]).contains("unexpected argument `300`"));
+        assert!(err(&["mem", "lib", "--all"]).contains("not both"));
+        assert!(err(&["kernel", "k.s", "--blocks", "1", "--tpb", "32"]).contains("--mem N"));
+        let bad_param = [
+            "kernel", "k.s", "--blocks", "1", "--tpb", "32", "--mem", "8", "--param", "x",
+        ];
+        assert!(err(&bad_param).contains("--param must be a number"));
+    }
+
     fn faults_cmd(seed: u64, out: &std::path::Path, resume: Option<String>) -> Command {
         Command::Faults {
             workload: Some("lib".into()),
             injections: 6,
             seed,
             protection: ProtectionModel::SecDed,
-            budget: None,
             resume,
             out: Some(out.to_string_lossy().into_owned()),
         }
@@ -1602,6 +1590,31 @@ mod tests {
             fs::read(&resumed).unwrap(),
             "resumed report must be byte-identical to the uninterrupted one"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn faults_resume_never_mixes_campaigns() {
+        let dir = std::env::temp_dir().join(format!("wcsim-resume-seed-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("ckpt").to_string_lossy().into_owned();
+        let (seed1, fresh2, resumed2) = (
+            dir.join("seed1.json"),
+            dir.join("fresh2.json"),
+            dir.join("resumed2.json"),
+        );
+        let mut o = String::new();
+        run_cli(&faults_cmd(1, &seed1, Some(ckpt.clone())), &mut o).unwrap();
+        run_cli(&faults_cmd(2, &fresh2, None), &mut o).unwrap();
+        // Seed 1's fragments sit in the directory; a seed-2 run resumed
+        // from it must not reuse them.
+        run_cli(&faults_cmd(2, &resumed2, Some(ckpt)), &mut o).unwrap();
+        assert_eq!(
+            fs::read(&fresh2).unwrap(),
+            fs::read(&resumed2).unwrap(),
+            "a seed-2 run resumed from seed-1 checkpoints must equal a fresh seed-2 run"
+        );
+        assert_ne!(fs::read(&seed1).unwrap(), fs::read(&fresh2).unwrap());
         let _ = fs::remove_dir_all(&dir);
     }
 

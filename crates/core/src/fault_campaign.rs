@@ -22,10 +22,7 @@ use gpu_workloads::Workload;
 
 use crate::design::DesignPoint;
 use crate::experiment::energy_of;
-use crate::resilient::{run_many_resilient, RunPolicy, RunRecord};
-
-/// Default campaign seed, shared with the CLI's `--seed` default.
-pub const DEFAULT_FAULT_SEED: u64 = 42;
+use crate::resilient::{run_many_resilient, RunRecord};
 
 /// Per-kernel plan seed: FNV-1a over the campaign seed and the kernel
 /// name. Stable across runs and platforms.
@@ -119,22 +116,12 @@ pub fn run_fault_campaign(
     protection: ProtectionModel,
     injections: usize,
     campaign_seed: u64,
-    policy: &RunPolicy,
 ) -> Vec<RunRecord<KernelFaultReport>> {
     let cfg = DesignPoint::WarpedCompression.config();
     run_many_resilient(
         workloads,
         &|w: &Workload| w.name().to_string(),
-        &|w: &Workload| {
-            Ok(run_kernel_faults(
-                &cfg,
-                w,
-                protection,
-                injections,
-                campaign_seed,
-            ))
-        },
-        policy,
+        &|w: &Workload| run_kernel_faults(&cfg, w, protection, injections, campaign_seed),
     )
 }
 
@@ -156,21 +143,13 @@ mod tests {
             gpu_workloads::by_name("lib").unwrap(),
             gpu_workloads::by_name("aes").unwrap(),
         ];
-        let run = || {
-            run_fault_campaign(
-                &workloads,
-                ProtectionModel::SecDed,
-                6,
-                DEFAULT_FAULT_SEED,
-                &RunPolicy::default(),
-            )
-        };
+        let run =
+            || run_fault_campaign(&workloads, ProtectionModel::SecDed, 6, crate::DEFAULT_SEED);
         let a = run();
         let b = run();
         assert_eq!(a.len(), 2);
         for (ra, rb) in a.iter().zip(&b) {
-            assert!(ra.status.is_ok());
-            let (ka, kb) = (ra.output.as_ref().unwrap(), rb.output.as_ref().unwrap());
+            let (ka, kb) = (ra.status.output().unwrap(), rb.status.output().unwrap());
             assert_eq!(ka, kb, "same seed must reproduce {} exactly", ka.name);
             assert_eq!(ka.log.events.len(), 6);
             // SEC-DED: the CI gate's invariant.
@@ -182,14 +161,8 @@ mod tests {
     #[test]
     fn unprotected_campaign_reports_are_honest() {
         let workloads = vec![gpu_workloads::by_name("lib").unwrap()];
-        let records = run_fault_campaign(
-            &workloads,
-            ProtectionModel::Unprotected,
-            8,
-            7,
-            &RunPolicy::default(),
-        );
-        let k = records[0].output.as_ref().unwrap();
+        let records = run_fault_campaign(&workloads, ProtectionModel::Unprotected, 8, 7);
+        let k = records[0].status.output().unwrap();
         assert_eq!(k.log.events.len(), 8);
         assert_eq!(k.log.corrected() + k.log.detected(), 0);
         assert!((k.energy_scale - 1.0).abs() < 1e-12);

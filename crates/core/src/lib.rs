@@ -63,9 +63,7 @@ pub use design::DesignPoint;
 pub use experiment::{energy_of, run_suite, run_workload, RunOutput};
 pub use explorer::ChoiceBreakdown;
 #[cfg(feature = "faults")]
-pub use fault_campaign::{
-    kernel_seed, run_fault_campaign, run_kernel_faults, KernelFaultReport, DEFAULT_FAULT_SEED,
-};
+pub use fault_campaign::{kernel_seed, run_fault_campaign, run_kernel_faults, KernelFaultReport};
 #[cfg(feature = "fuzz")]
 pub use fuzz::{
     check_case, mutation_smoke, render_reproducer, run_case, shrink_case, CaseReport, CaseStats,
@@ -78,12 +76,13 @@ pub use perfbound::{perf_machine, perf_suite, perf_workload, ConflictCheck, Perf
 pub use predict::{
     predict_suite, predict_workload, PredictError, PredictReport, SiteOutcome, SiteValidation,
 };
-pub use resilient::{
-    catch_panic, run_many_resilient, run_suite_resilient, PanicCapture, RunPolicy, RunRecord,
-    RunStatus,
-};
+pub use resilient::{catch_panic, run_many_resilient, PanicCapture, RunRecord, RunStatus};
 pub use schedule::{
     schedule_slack, schedule_suite, schedule_workload, ScheduleMode, ScheduleReport,
 };
 pub use similarity::{SimilarityBin, SimilarityHistogram};
 pub use trace::WriteTrace;
+
+/// Default campaign seed of the seeded fault and fuzz campaigns (the
+/// `wcsim faults` and `wcsim fuzz` `--seed` default).
+pub const DEFAULT_SEED: u64 = 42;

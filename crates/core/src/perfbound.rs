@@ -179,16 +179,19 @@ pub fn perf_workload(workload: &Workload, design: DesignPoint) -> Result<PerfRep
     ))
 }
 
-/// Bounds and validates every workload under the warped-compression
-/// design point, in parallel, in suite order.
+/// Bounds and validates every workload under `design`, in parallel, in
+/// suite order.
 ///
 /// # Errors
 ///
 /// Fails on the earliest workload (in suite order) that errors.
-pub fn perf_suite(workloads: &[Workload]) -> Result<Vec<PerfReport>, SimError> {
+pub fn perf_suite(
+    workloads: &[Workload],
+    design: DesignPoint,
+) -> Result<Vec<PerfReport>, SimError> {
     workloads
         .par_iter()
-        .map(|w| perf_workload(w, DesignPoint::WarpedCompression))
+        .map(|w| perf_workload(w, design))
         .collect()
 }
 

@@ -293,16 +293,19 @@ pub fn schedule_workload(
     ))
 }
 
-/// Schedules and validates every workload under the warped-compression
-/// design point, in parallel, in suite order.
+/// Schedules and validates every workload under `design`, in parallel, in
+/// suite order.
 ///
 /// # Errors
 ///
 /// Fails on the earliest workload (in suite order) that errors.
-pub fn schedule_suite(workloads: &[Workload]) -> Result<Vec<ScheduleReport>, SimError> {
+pub fn schedule_suite(
+    workloads: &[Workload],
+    design: DesignPoint,
+) -> Result<Vec<ScheduleReport>, SimError> {
     workloads
         .par_iter()
-        .map(|w| schedule_workload(w, DesignPoint::WarpedCompression))
+        .map(|w| schedule_workload(w, design))
         .collect()
 }
 

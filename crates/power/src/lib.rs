@@ -42,7 +42,6 @@
 mod activity;
 mod compressibility;
 mod model;
-mod occupancy;
 mod params;
 mod perf;
 mod report;
@@ -51,7 +50,6 @@ mod schedule;
 pub use activity::{ActivityCounts, LowPowerKind};
 pub use compressibility::CompressibilityComparison;
 pub use model::EnergyModel;
-pub use occupancy::OccupancyComparison;
 pub use params::EnergyParams;
 pub use perf::PerfComparison;
 pub use report::EnergyReport;

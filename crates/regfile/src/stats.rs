@@ -46,15 +46,6 @@ impl RegFileStats {
         self.gated_cycles[bank] as f64 / self.total_cycles as f64
     }
 
-    /// Mean gated fraction over all banks — the leakage-saving factor.
-    pub fn mean_gated_fraction(&self) -> f64 {
-        if self.gated_cycles.is_empty() || self.total_cycles == 0 {
-            return 0.0;
-        }
-        let sum: u64 = self.gated_cycles.iter().sum();
-        sum as f64 / (self.gated_cycles.len() as f64 * self.total_cycles as f64)
-    }
-
     /// Number of banks in the snapshot.
     pub fn num_banks(&self) -> usize {
         self.bank_reads.len()
@@ -89,7 +80,6 @@ mod tests {
         let s = sample();
         assert!((s.gated_fraction(1) - 0.5).abs() < 1e-12);
         assert!((s.gated_fraction(3) - 1.0).abs() < 1e-12);
-        assert!((s.mean_gated_fraction() - 150.0 / 400.0).abs() < 1e-12);
     }
 
     #[test]
@@ -101,6 +91,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.gated_fraction(0), 0.0);
-        assert_eq!(s.mean_gated_fraction(), 0.0);
     }
 }

@@ -11,7 +11,8 @@ use warped_compression_suite::prelude::*;
 
 #[test]
 fn every_workload_bound_is_sound() {
-    let reports = perf_suite(&suite()).expect("suite bounds cleanly");
+    let reports =
+        perf_suite(&suite(), DesignPoint::WarpedCompression).expect("suite bounds cleanly");
     assert_eq!(reports.len(), 18);
     for r in &reports {
         assert!(
@@ -63,10 +64,17 @@ fn uniform_kernels_get_tight_cycle_bounds() {
 fn baseline_design_bounds_are_also_sound() {
     // The bound is design-aware: under the baseline point there is no
     // compression latency and every access touches all 8 banks.
-    for name in ["lib", "bfs"] {
-        let w = by_name(name).unwrap();
-        let r = perf_workload(&w, DesignPoint::Baseline).unwrap();
-        assert!(r.is_sound(), "{name} (baseline): {:?}", r.unsound_sites());
+    let workloads = vec![by_name("lib").unwrap(), by_name("bfs").unwrap()];
+    let reports = perf_suite(&workloads, DesignPoint::Baseline).unwrap();
+    assert_eq!(reports.len(), 2);
+    for r in &reports {
+        assert_eq!(r.design, DesignPoint::Baseline.label());
+        assert!(
+            r.is_sound(),
+            "{} (baseline): {:?}",
+            r.kernel,
+            r.unsound_sites()
+        );
     }
 }
 

@@ -33,7 +33,8 @@ use warped_compression_suite::prelude::*;
 #[test]
 fn suite_schedules_soundly_18_of_18() {
     let workloads = suite();
-    let reports = schedule_suite(&workloads).expect("suite simulates cleanly");
+    let reports = schedule_suite(&workloads, DesignPoint::WarpedCompression)
+        .expect("suite simulates cleanly");
     assert_eq!(reports.len(), 18);
     for r in &reports {
         assert!(
