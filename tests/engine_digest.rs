@@ -25,6 +25,9 @@
 //! stderr, so a change that is *meant* to alter timing can commit the
 //! new table alongside its justification.
 
+mod digest;
+
+use digest::{assert_table_matches, text_digest, Fnv};
 use warped_compression_suite::isa::assemble;
 use warped_compression_suite::prelude::*;
 use warped_compression_suite::sim::{SimError, SimStats, StallCause};
@@ -50,31 +53,6 @@ fn designs() -> [DesignPoint; 6] {
     ]
 }
 
-/// FNV-1a over a stream of 64-bit words.
-struct Fnv(u64);
-
-impl Fnv {
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn text(&mut self, s: &str) {
-        for b in s.bytes() {
-            self.word(u64::from(b));
-        }
-    }
-
-    fn words(&mut self, ws: &[u64]) {
-        self.word(ws.len() as u64);
-        for &w in ws {
-            self.word(w);
-        }
-    }
-}
-
 /// Digest of every field of `s`. The exhaustive destructuring makes a
 /// new `SimStats` field a compile error here until it is hashed too.
 fn digest(s: &SimStats) -> u64 {
@@ -98,7 +76,7 @@ fn digest(s: &SimStats) -> u64 {
         regfile,
         gating,
     } = s;
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut h = Fnv::new();
     h.words(&[
         *cycles,
         *instructions,
@@ -136,13 +114,6 @@ fn digest(s: &SimStats) -> u64 {
     h.words(&regfile.gated_cycles);
     h.words(&[regfile.wakeups, regfile.total_cycles]);
     h.text(&format!("{gating:?}"));
-    h.0
-}
-
-/// Digest of a failed run's error text.
-fn error_digest(text: &str) -> u64 {
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    h.text(text);
     h.0
 }
 
@@ -184,7 +155,7 @@ fn computed_fuzz() -> String {
             let launch = LaunchConfig::new(case.blocks, case.threads_per_block);
             let row = match sim.run(&case.kernel, &launch, &mut memory) {
                 Ok(r) => format!("{} {:016x}", r.stats.cycles, digest(&r.stats)),
-                Err(e) => format!("err {:016x}", error_digest(&e.to_string())),
+                Err(e) => format!("err {:016x}", text_digest(&e.to_string())),
             };
             out.push_str(&format!(
                 "{} {} {row}\n",
@@ -259,7 +230,7 @@ fn computed_failing() -> String {
         out.push_str(&format!(
             "{} spin err {:016x}\n",
             design.label(),
-            error_digest(&err.to_string())
+            text_digest(&err.to_string())
         ));
         let err = GpuSim::new(design.config())
             .run(
@@ -272,36 +243,10 @@ fn computed_failing() -> String {
         out.push_str(&format!(
             "{} oob_store err {:016x}\n",
             design.label(),
-            error_digest(&err.to_string())
+            text_digest(&err.to_string())
         ));
     }
     out
-}
-
-/// Compares a computed table against a committed one, row by row.
-fn assert_table_matches(table: &str, got: &str, what: &str) {
-    let want: Vec<&str> = table
-        .lines()
-        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
-        .collect();
-    let got: Vec<&str> = got.lines().collect();
-    if want != got {
-        eprintln!("computed table:\n{}", got.join("\n"));
-    }
-    assert_eq!(want.len(), got.len(), "row count ({what})");
-    let diffs: Vec<String> = want
-        .iter()
-        .zip(&got)
-        .filter(|(w, g)| w != g)
-        .map(|(w, g)| format!("  want {w}\n  got  {g}"))
-        .collect();
-    assert!(
-        diffs.is_empty(),
-        "{} of {} runs changed:\n{}",
-        diffs.len(),
-        want.len(),
-        diffs.join("\n")
-    );
 }
 
 #[test]
