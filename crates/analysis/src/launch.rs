@@ -1,15 +1,20 @@
 //! One launch, analysed once.
 //!
 //! The lints ([`analyze_with_launch`](crate::analyze_with_launch)), the
-//! memory floors of [`bound_kernel`](crate::bound_kernel), the issue
-//! scheduler ([`schedule_kernel`](crate::schedule_kernel)) and the
-//! memory gate all read the same three facts about a kernel under a
-//! launch: its control-flow graph, the abstract memory cells (with the
-//! absint fixpoint they refine) and the address abstraction. A
+//! issue scheduler ([`schedule_kernel`](crate::schedule_kernel)) and
+//! the memory gate all read the same three facts about a kernel under
+//! a launch: its control-flow graph, the abstract memory cells (with
+//! the absint fixpoint they refine) and the address abstraction. A
 //! [`LaunchAnalysis`] computes each once, so a caller that needs more
 //! than one of those consumers pays for `analyze_cells` and
 //! `analyze_mem` once instead of once per consumer. The plain entry
 //! points stay as wrappers that build what they read for a single use.
+//!
+//! The perfbound floors read only the CFG and the launch-wide access
+//! sites. [`bound_kernel_with`](crate::bound_kernel_with) takes them
+//! from here when a caller has built the analysis anyway; the plain
+//! [`bound_kernel`](crate::bound_kernel) derives the sites from its own
+//! launch-wide `interpret` and never runs memabs' per-warp passes.
 
 use simt_isa::{Instruction, Kernel};
 

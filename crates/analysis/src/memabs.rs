@@ -39,7 +39,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use simt_isa::Instruction;
 
-use crate::absint::{interpret, interpret_for_warp, AbsVal, LaunchInfo, Range, WarpFocus};
+use crate::absint::{
+    interpret, interpret_for_warp, AbsVal, AbsintAnalysis, LaunchInfo, Range, WarpFocus,
+};
 use crate::cfg::Cfg;
 use crate::dataflow::ReachingDefs;
 
@@ -205,30 +207,7 @@ pub fn analyze_mem(
     launch: Option<&LaunchInfo>,
 ) -> MemAbs {
     let absint = interpret(kernel, instrs, usize::from(num_regs), cfg, launch);
-
-    // Per-site launch-wide access sets.
-    let mut sites = Vec::new();
-    for (pc, instr) in instrs.iter().enumerate() {
-        let Some((base, offset, is_store)) = access_of(instr) else {
-            continue;
-        };
-        let Some(st) = absint.state_at(pc) else {
-            continue; // unreachable: no access can happen here
-        };
-        let address = st[usize::from(base)].add_const(offset);
-        let divergent = absint.divergent_at(pc);
-        let (pattern, min_transactions) = classify_access(&address, divergent);
-        sites.push(MemSite {
-            pc,
-            is_store,
-            base,
-            offset,
-            address,
-            pattern,
-            min_transactions,
-            divergent,
-        });
-    }
+    let sites = access_sites(instrs, &absint);
 
     // Per-warp specialisation, when the geometry is known and small.
     let mut warp_addresses = Vec::new();
@@ -290,6 +269,34 @@ pub fn analyze_mem(
         forwardable,
         warp_addresses,
     }
+}
+
+/// Every reachable load/store site of `instrs` with its launch-wide
+/// access set under the absint fixpoint `absint`, in pc order.
+pub(crate) fn access_sites(instrs: &[Instruction], absint: &AbsintAnalysis) -> Vec<MemSite> {
+    let mut sites = Vec::new();
+    for (pc, instr) in instrs.iter().enumerate() {
+        let Some((base, offset, is_store)) = access_of(instr) else {
+            continue;
+        };
+        let Some(st) = absint.state_at(pc) else {
+            continue; // unreachable: no access can happen here
+        };
+        let address = st[usize::from(base)].add_const(offset);
+        let divergent = absint.divergent_at(pc);
+        let (pattern, min_transactions) = classify_access(&address, divergent);
+        sites.push(MemSite {
+            pc,
+            is_store,
+            base,
+            offset,
+            address,
+            pattern,
+            min_transactions,
+            divergent,
+        });
+    }
+    sites
 }
 
 /// The `(base, offset, is_store)` of a memory instruction.
@@ -464,7 +471,7 @@ fn conservative_taint(
     instrs: &[Instruction],
     cfg: &Cfg,
     rd: &ReachingDefs,
-    absint: &crate::absint::AbsintAnalysis,
+    absint: &AbsintAnalysis,
 ) -> Vec<bool> {
     let mut tainted = vec![false; instrs.len()];
     let def_tainted = |tainted: &[bool], at: usize, reg: u8| {
@@ -525,7 +532,7 @@ fn forwarding_analysis(
     instrs: &[Instruction],
     num_regs: u8,
     cfg: &Cfg,
-    absint: &crate::absint::AbsintAnalysis,
+    absint: &AbsintAnalysis,
     sites: &[MemSite],
     warps: &[WarpAddresses],
 ) -> BTreeMap<usize, usize> {

@@ -243,7 +243,21 @@ struct Resident<'a> {
     replay: WarpReplay<'a>,
     timing: TimingState,
     pending: Option<TraceStep>,
+    /// The first cycle `pending` may issue: its hazard-feasible cycle
+    /// ([`TimingState::earliest`]), and never before the launch. The
+    /// hazards are per-warp only, so it changes only when this warp
+    /// issues; `None` once the warp has nothing pending.
+    ready: Option<u64>,
     steps: Vec<PlannedInstr>,
+}
+
+impl Resident<'_> {
+    fn update_ready(&mut self) {
+        self.ready = self
+            .pending
+            .as_ref()
+            .map(|step| self.timing.earliest(&step.instr).max(self.launch_cycle));
+    }
 }
 
 /// Compiles `kernel` × `launch` × `machine` into an [`IssuePlan`], or
@@ -315,8 +329,13 @@ pub fn schedule_kernel_with(
         max_resident_warps
     ];
     let mut residents: Vec<Option<Resident>> = (0..max_resident_warps).map(|_| None).collect();
+    // Per issue port, its resident slots in launch order (the GTO age
+    // order): appended at launch, removed at drain.
+    let mut by_age: Vec<Vec<usize>> = vec![Vec::new(); machine.num_schedulers];
     let mut sched_last: Vec<Option<usize>> = vec![None; machine.num_schedulers];
     let mut comp_starts: BTreeMap<u64, u32> = BTreeMap::new();
+    let mut free: Vec<usize> = Vec::with_capacity(max_resident_warps);
+    let mut frees: Vec<u64> = Vec::with_capacity(max_resident_warps);
     let mut next_block = 0usize;
     let mut launch_seq = 0u64;
     let mut finished = 0usize;
@@ -330,13 +349,15 @@ pub fn schedule_kernel_with(
         // `wpb` slots are free, taking the first free slots in index
         // order.
         while next_block < launch.blocks {
-            let free: Vec<usize> = slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| !s.occupied && s.free_at <= t)
-                .map(|(i, _)| i)
-                .take(wpb)
-                .collect();
+            free.clear();
+            free.extend(
+                slots
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| !s.occupied && s.free_at <= t)
+                    .map(|(i, _)| i)
+                    .take(wpb),
+            );
             if free.len() < wpb {
                 break;
             }
@@ -354,7 +375,7 @@ pub fn schedule_kernel_with(
                     StepOutcome::Lost(r) => return Err(bail_of(r, next_block, w)),
                 };
                 slots[slot].occupied = true;
-                residents[slot] = Some(Resident {
+                let mut r = Resident {
                     slot,
                     block: next_block,
                     warp_in_block: w,
@@ -363,8 +384,12 @@ pub fn schedule_kernel_with(
                     replay,
                     timing: TimingState::new(num_regs),
                     pending,
+                    ready: None,
                     steps: Vec::new(),
-                });
+                };
+                r.update_ready();
+                residents[slot] = Some(r);
+                by_age[slot % machine.num_schedulers].push(slot);
                 launch_seq += 1;
             }
             next_block += 1;
@@ -373,29 +398,14 @@ pub fn schedule_kernel_with(
         // Issue phase: each port fires at most once per cycle, greedy-
         // then-oldest (the engine's GTO), skipping warps whose
         // compressor reservation would overflow a port cycle.
-        for (port, last) in sched_last.iter_mut().enumerate() {
-            let mut order: Vec<usize> = Vec::new();
-            if let Some(s) = *last {
-                if residents[s].is_some() {
-                    order.push(s);
-                }
-            }
-            let mut rest: Vec<(u64, usize)> = residents
-                .iter()
-                .flatten()
-                .filter(|r| r.slot % machine.num_schedulers == port && Some(r.slot) != *last)
-                .map(|r| (r.launch_seq, r.slot))
-                .collect();
-            rest.sort_unstable();
-            order.extend(rest.into_iter().map(|(_, s)| s));
-
-            for slot in order {
-                let r = residents[slot].as_mut().expect("resident in order list");
-                let Some(step) = r.pending.as_ref() else {
-                    continue;
-                };
-                if r.timing.earliest(&step.instr).max(r.launch_cycle) > t {
-                    continue;
+        for (last, ages) in sched_last.iter_mut().zip(&mut by_age) {
+            let greedy = last.filter(|&s| residents[s].is_some());
+            let oldest = ages.iter().copied().filter(|&s| Some(s) != *last);
+            let pick = greedy.into_iter().chain(oldest).find_map(|slot| {
+                let r = residents[slot].as_ref().expect("resident in age list");
+                let step = r.pending.as_ref()?;
+                if r.ready? > t {
+                    return None;
                 }
                 let decomp = if step.sources.iter().any(|f| f.compressed != Some(false)) {
                     machine.decompression_latency
@@ -407,6 +417,7 @@ pub fn schedule_kernel_with(
                 } else {
                     0
                 };
+                let mut comp_start = None;
                 if step.compresses {
                     let k = step.sources.len() as u64;
                     let dispatch = t + k.max(1);
@@ -416,63 +427,69 @@ pub fn schedule_kernel_with(
                     if comp_starts.get(&start).copied().unwrap_or(0)
                         >= machine.num_compressors as u32
                     {
-                        continue; // port full at that cycle; try another warp
+                        return None; // port full at that cycle; try another warp
                     }
-                    *comp_starts.entry(start).or_insert(0) += 1;
-                    compressor_activations += 1;
+                    comp_start = Some(start);
                 }
-                if step.sources.iter().any(|f| f.compressed == Some(true)) {
-                    decompressor_activations += 1;
-                }
-                let step = r.pending.take().expect("checked above");
-                let times = r.timing.commit_at(t, &step.instr, machine, decomp, comp);
-                r.steps.push(PlannedInstr {
-                    pc: step.pc,
-                    mask: step.mask,
-                    divergent: step.divergent,
-                    issue: times.issue,
-                    dispatch: times.dispatch,
-                    retire: times.retire,
-                    sources: step.sources.iter().map(|f| f.reg).collect(),
-                    dst: step.dst,
-                    compresses: step.compresses,
-                    decomp_cycles: decomp,
-                    comp_cycles: comp,
+                Some((slot, decomp, comp, comp_start))
+            });
+            let Some((slot, decomp, comp, comp_start)) = pick else {
+                continue;
+            };
+            let r = residents[slot].as_mut().expect("picked resident");
+            let step = r.pending.take().expect("picked with a pending step");
+            if let Some(start) = comp_start {
+                *comp_starts.entry(start).or_insert(0) += 1;
+                compressor_activations += 1;
+            }
+            let times = r.timing.commit_at(t, &step.instr, machine, decomp, comp);
+            if step.sources.iter().any(|f| f.compressed == Some(true)) {
+                decompressor_activations += 1;
+            }
+            r.steps.push(PlannedInstr {
+                pc: step.pc,
+                mask: step.mask,
+                divergent: step.divergent,
+                issue: times.issue,
+                dispatch: times.dispatch,
+                retire: times.retire,
+                sources: step.sources.iter().map(|f| f.reg).collect(),
+                dst: step.dst,
+                compresses: step.compresses,
+                decomp_cycles: decomp,
+                comp_cycles: comp,
+            });
+            planned_instructions += 1;
+            match r.replay.step() {
+                StepOutcome::Step(s) => r.pending = Some(s),
+                StepOutcome::Done => r.pending = None,
+                StepOutcome::Lost(reason) => return Err(bail_of(reason, r.block, r.warp_in_block)),
+            }
+            r.update_ready();
+            if r.pending.is_none() {
+                let r = residents[slot].take().expect("drained resident");
+                ages.retain(|&s| s != slot);
+                let free_cycle = r.timing.end().max(r.launch_cycle) + 1;
+                slots[slot] = SlotState {
+                    free_at: free_cycle,
+                    occupied: false,
+                };
+                let gid = r.block * wpb + r.warp_in_block;
+                plans[gid] = Some(WarpPlan {
+                    block: r.block,
+                    warp_in_block: r.warp_in_block,
+                    slot: r.slot,
+                    launch_seq: r.launch_seq,
+                    launch_cycle: r.launch_cycle,
+                    free_cycle,
+                    steps: r.steps,
                 });
-                planned_instructions += 1;
-                match r.replay.step() {
-                    StepOutcome::Step(s) => r.pending = Some(s),
-                    StepOutcome::Done => r.pending = None,
-                    StepOutcome::Lost(reason) => {
-                        return Err(bail_of(reason, r.block, r.warp_in_block))
-                    }
+                finished += 1;
+                if *last == Some(slot) {
+                    *last = None;
                 }
-                let drained = r.pending.is_none();
-                if drained {
-                    let r = residents[slot].take().expect("drained resident");
-                    let free_cycle = r.timing.end().max(r.launch_cycle) + 1;
-                    slots[slot] = SlotState {
-                        free_at: free_cycle,
-                        occupied: false,
-                    };
-                    let gid = r.block * wpb + r.warp_in_block;
-                    plans[gid] = Some(WarpPlan {
-                        block: r.block,
-                        warp_in_block: r.warp_in_block,
-                        slot: r.slot,
-                        launch_seq: r.launch_seq,
-                        launch_cycle: r.launch_cycle,
-                        free_cycle,
-                        steps: r.steps,
-                    });
-                    finished += 1;
-                    if *last == Some(slot) {
-                        *last = None;
-                    }
-                } else {
-                    *last = Some(slot);
-                }
-                break; // one issue per port per cycle
+            } else {
+                *last = Some(slot);
             }
         }
 
@@ -481,26 +498,19 @@ pub fn schedule_kernel_with(
         }
 
         // Skip ahead to the next cycle anything can happen.
-        let mut next = u64::MAX;
-        for r in residents.iter().flatten() {
-            if let Some(step) = &r.pending {
-                let e = r
-                    .timing
-                    .earliest(&step.instr)
-                    .max(r.launch_cycle)
-                    .max(t + 1);
-                next = next.min(e);
-            }
-        }
+        let mut next = residents
+            .iter()
+            .flatten()
+            .filter_map(|r| r.ready)
+            .map(|ready| ready.max(t + 1))
+            .min()
+            .unwrap_or(u64::MAX);
         if next_block < launch.blocks {
-            let mut frees: Vec<u64> = slots
-                .iter()
-                .filter(|s| !s.occupied)
-                .map(|s| s.free_at)
-                .collect();
+            frees.clear();
+            frees.extend(slots.iter().filter(|s| !s.occupied).map(|s| s.free_at));
             if frees.len() >= wpb {
-                frees.sort_unstable();
-                next = next.min(frees[wpb - 1].max(t + 1));
+                let (_, &mut nth, _) = frees.select_nth_unstable(wpb - 1);
+                next = next.min(nth.max(t + 1));
             }
         }
         debug_assert_ne!(next, u64::MAX, "scheduler made no progress");

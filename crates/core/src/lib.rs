@@ -74,7 +74,7 @@ pub use launch::LaunchFacts;
 pub use mem::{mem_suite, mem_workload, MemReport, ScheduleCheck, SiteCheck, TracedConflict};
 pub use perfbound::{perf_machine, perf_suite, perf_workload, ConflictCheck, PerfReport};
 pub use predict::{
-    predict_suite, predict_workload, PredictError, PredictReport, SiteOutcome, SiteValidation,
+    predict_suite, predict_workload, static_prediction, PredictReport, SiteOutcome, SiteValidation,
 };
 pub use resilient::{catch_panic, run_many_resilient, PanicCapture, RunRecord, RunStatus};
 pub use schedule::{

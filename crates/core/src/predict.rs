@@ -17,10 +17,11 @@
 
 use bdi::CompressionClass;
 use gpu_power::CompressibilityComparison;
-use gpu_sim::{SimError, WriteEvent};
+use gpu_sim::{GlobalMemory, LaunchConfig, SimError, WriteEvent};
 use gpu_workloads::Workload;
 use rayon::prelude::*;
-use simt_analysis::{analyze_with_launch, KernelPrediction};
+use simt_analysis::{interpret, Cfg, KernelPrediction};
+use simt_isa::Kernel;
 
 use crate::design::DesignPoint;
 use crate::launch::LaunchFacts;
@@ -217,35 +218,31 @@ pub(crate) fn predict_join(
     }
 }
 
-/// Prediction failures.
-#[derive(Clone, Debug, PartialEq)]
-pub enum PredictError {
-    /// The simulation failed.
-    Sim(SimError),
-    /// The kernel has structural errors, so no prediction exists.
-    Static {
-        /// Benchmark name.
-        kernel: String,
-    },
-}
-
-impl std::fmt::Display for PredictError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PredictError::Sim(e) => write!(f, "simulation failed: {e}"),
-            PredictError::Static { kernel } => {
-                write!(f, "kernel `{kernel}` has structural errors; no prediction")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PredictError {}
-
-impl From<SimError> for PredictError {
-    fn from(e: SimError) -> Self {
-        PredictError::Sim(e)
-    }
+/// The static half of the predict gate: the abstract interpreter's
+/// compressibility prediction for `kernel` launched as `launch` over
+/// `memory`, with the memory image left unarmed.
+///
+/// Without an image the memory-cell analysis degrades to exactly this
+/// one [`interpret`], so the claim equals
+/// [`analyze_with_launch`](simt_analysis::analyze_with_launch)'s
+/// `prediction` for the same launch; the lints, liveness and the
+/// per-warp memory passes that pipeline also runs are not needed here.
+pub fn static_prediction(
+    kernel: &Kernel,
+    launch: &LaunchConfig,
+    memory: &GlobalMemory,
+) -> KernelPrediction {
+    let facts = LaunchFacts::new(launch, memory, false);
+    let cfg = Cfg::build(kernel.instrs());
+    let num_regs = usize::from(kernel.num_regs());
+    interpret(
+        kernel.name(),
+        kernel.instrs(),
+        num_regs,
+        &cfg,
+        Some(&facts.info),
+    )
+    .prediction
 }
 
 /// Runs the abstract interpreter and the simulator on one workload and
@@ -256,19 +253,12 @@ impl From<SimError> for PredictError {
 ///
 /// # Errors
 ///
-/// [`PredictError::Static`] if the kernel fails verification (no
-/// workload in this repository does), [`PredictError::Sim`] if the
-/// simulation fails.
-pub fn predict_workload(workload: &Workload) -> Result<PredictReport, PredictError> {
+/// Fails if the simulation fails.
+pub fn predict_workload(workload: &Workload) -> Result<PredictReport, SimError> {
     let kernel = workload.kernel();
     let launch = workload.launch();
     let mut memory = workload.fresh_memory();
-    let facts = LaunchFacts::new(launch, &memory, false);
-    let prediction = analyze_with_launch(kernel, Some(&facts.info))
-        .prediction
-        .ok_or_else(|| PredictError::Static {
-            kernel: workload.name().to_string(),
-        })?;
+    let prediction = static_prediction(kernel, launch, &memory);
 
     let mut tally = WriteTally::new(kernel.len());
     gpu_sim::GpuSim::new(DesignPoint::WarpedCompression.config()).run_observed(
@@ -285,7 +275,7 @@ pub fn predict_workload(workload: &Workload) -> Result<PredictReport, PredictErr
 /// # Errors
 ///
 /// Fails on the earliest workload (in suite order) that errors.
-pub fn predict_suite(workloads: &[Workload]) -> Result<Vec<PredictReport>, PredictError> {
+pub fn predict_suite(workloads: &[Workload]) -> Result<Vec<PredictReport>, SimError> {
     workloads.par_iter().map(predict_workload).collect()
 }
 

@@ -6,8 +6,11 @@
 //! kernels, and uniform-branch verdicts that agree with the simulator's
 //! divergence counters.
 
-use simt_analysis::analyze;
-use warped_compression::{predict_suite, run_workload, DesignPoint};
+use simt_analysis::{analyze, analyze_with_launch};
+use simt_isa::Kernel;
+use warped_compression::{
+    predict_suite, run_workload, static_prediction, DesignPoint, FuzzCase, LaunchFacts,
+};
 use warped_compression_suite::prelude::*;
 
 #[test]
@@ -96,4 +99,32 @@ fn bfs_diverges_and_its_branch_is_not_called_uniform() {
     );
     let run = run_workload(&DesignPoint::WarpedCompression.config(), &w).unwrap();
     assert!(run.stats.divergent_instructions > 0);
+}
+
+/// The predict gate's static claim for `kernel` launched as `launch`
+/// over `memory`, checked against what the full lint pipeline reports
+/// for the same launch, so `wcsim predict` and `wcsim analyze` cannot
+/// drift apart.
+fn assert_claim_matches_analyze(kernel: &Kernel, launch: &LaunchConfig, memory: &GlobalMemory) {
+    let facts = LaunchFacts::new(launch, memory, false);
+    let analyzed = analyze_with_launch(kernel, Some(&facts.info)).prediction;
+    assert_eq!(
+        Some(static_prediction(kernel, launch, memory)),
+        analyzed,
+        "{}: the predict gate's claim differs from analyze's",
+        kernel.name()
+    );
+}
+
+#[test]
+fn predict_claim_equals_the_lint_pipelines_prediction() {
+    for w in suite() {
+        assert_claim_matches_analyze(w.kernel(), w.launch(), &w.fresh_memory());
+    }
+    for case in (0..200).map(|i| FuzzCase::generate(42, i)) {
+        let mut image = case.init_words.clone();
+        image.resize(case.mem_words, 0);
+        let launch = LaunchConfig::new(case.blocks, case.threads_per_block);
+        assert_claim_matches_analyze(&case.kernel, &launch, &GlobalMemory::from_words(image));
+    }
 }
